@@ -1,19 +1,17 @@
 // Dispatch-overhead micro-bench: what does the registry boundary cost?
 //
-// Runs SSSP under the hot scheduler keys in all three dispatch modes —
-// virtual (AnyScheduler, one indirect call per push/pop), batched
-// (AnyScheduler, one indirect call per task batch) and static (directly
-// instantiated concrete scheduler) — and reports per-mode throughput
-// plus the ratio to the virtual baseline. This is the number the README
-// quotes and the justification for publishing absolute figures through
-// the registry: if batched/static ~= virtual, the erasure is in the
-// noise; where it is not, `smq_run --dispatch` offers the faster path.
+// Runs SSSP under the hot scheduler keys in both dispatch modes —
+// virtual (AnyScheduler, one indirect call per push/pop) and batched
+// (AnyScheduler, one indirect call per task batch) — and reports
+// per-mode throughput plus the ratio to the virtual baseline. This is
+// the number the README quotes for what batching buys at the registry
+// boundary.
 //
 // Schedulers with a "reclaim" tunable get a fourth row, batched+reclaim
 // (epoch-based reclamation on), whose vs_batched ratio is the cost of
 // epoch pinning on the hot path; --max-reclaim-overhead 0.05 turns that
 // ratio into a gate (exit 1 when reclamation costs more than 5%). Every
-// non-static row also reports the scheduler's steady-state memory
+// row also reports the scheduler's steady-state memory
 // footprint after the run — with reclamation on this is the plateau the
 // soak test watches; off, it is the leak-until-destroy high-water mark.
 //
@@ -23,7 +21,6 @@
 //                             [--max-reclaim-overhead 0.05]
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +28,6 @@
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 #include "support/cli.h"
 #include "support/json_writer.h"
 
@@ -53,9 +49,13 @@ struct Row {
 
 struct ModeSpec {
   const char* label;
-  DispatchMode mode;
+  bool batched;
   bool reclaim;
 };
+
+// The hot config families of the paper's evaluation.
+const std::vector<std::string> kSchedulers = {"smq", "smq-skiplist", "mq",
+                                              "mq-opt", "obim", "pmod"};
 
 bool has_tunable(const SchedulerEntry& entry, const std::string& name) {
   for (const Tunable& t : entry.tunables) {
@@ -88,42 +88,32 @@ int main(int argc, char** argv) {
   std::cout << "=== dispatch overhead: SSSP / " << graph.name << " / "
             << threads << " threads, best of " << reps << " ===\n\n";
 
-  const std::vector<std::string> schedulers = static_dispatch_keys();
   std::vector<Row> rows;
   bool reclaim_gate_ok = true;
 
-  for (const std::string& name : schedulers) {
+  for (const std::string& name : kSchedulers) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
     std::vector<ModeSpec> modes = {
-        {"virtual", DispatchMode::kVirtual, false},
-        {"batched", DispatchMode::kBatched, false},
-        {"static", DispatchMode::kStatic, false},
+        {"virtual", false, false},
+        {"batched", true, false},
     };
     if (has_tunable(*entry, "reclaim")) {
-      modes.push_back({"batched+reclaim", DispatchMode::kBatched, true});
+      modes.push_back({"batched+reclaim", true, true});
     }
     double virtual_throughput = 0;
     double batched_throughput = 0;
     for (const ModeSpec& spec : modes) {
       ParamMap run_params = params;
-      if (spec.mode == DispatchMode::kBatched) {
-        run_params.set("batch-size", batch_size);
-      }
+      if (spec.batched) run_params.set("batch-size", batch_size);
       if (spec.reclaim) run_params.set("reclaim", "epoch");
       Row row;
       row.scheduler = name;
       row.dispatch = spec.label;
       for (int rep = 0; rep < reps; ++rep) {
-        AlgoResult result;
-        std::size_t footprint = 0;
-        if (spec.mode == DispatchMode::kStatic) {
-          result = *run_static_dispatch(name, "sssp", graph, threads,
-                                        run_params, &reference);
-        } else {
-          AnyScheduler sched = entry->make(threads, run_params);
-          result = algo->run(graph, sched, threads, run_params, &reference);
-          footprint = sched.memory_footprint();
-        }
+        AnyScheduler sched = entry->make(threads, run_params);
+        const AlgoResult result =
+            algo->run(graph, sched, threads, run_params, &reference);
+        const std::size_t footprint = sched.memory_footprint();
         if (rep == 0 || result.run.seconds < row.seconds) {
           row.seconds = result.run.seconds;
           row.tasks = result.run.stats.pops;
@@ -134,10 +124,8 @@ int main(int argc, char** argv) {
       row.mops = row.seconds > 0
                      ? static_cast<double>(row.tasks) / row.seconds / 1e6
                      : 0;
-      if (spec.mode == DispatchMode::kVirtual) virtual_throughput = row.mops;
-      if (spec.mode == DispatchMode::kBatched && !spec.reclaim) {
-        batched_throughput = row.mops;
-      }
+      if (!spec.batched) virtual_throughput = row.mops;
+      if (spec.batched && !spec.reclaim) batched_throughput = row.mops;
       row.vs_virtual =
           virtual_throughput > 0 ? row.mops / virtual_throughput : 1.0;
       if (spec.reclaim && batched_throughput > 0) {

@@ -200,12 +200,6 @@ class Obim {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  // ---- tid-indexed shims (legacy surface) ------------------------------
-
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void flush(unsigned tid) { handle(tid).flush(); }
-
   /// Idle hook (ReclaimingScheduler): a parked worker lets the epoch
   /// advance so retired chunks drain between bursts.
   void quiesce(unsigned tid) {
@@ -354,7 +348,7 @@ class Obim {
   std::atomic<std::uint64_t> version_{1};
 };
 
-static_assert(HandleScheduler<Obim>);
+static_assert(PriorityScheduler<Obim>);
 static_assert(ReclaimingScheduler<Obim>);
 static_assert(MemoryReportingScheduler<Obim>);
 

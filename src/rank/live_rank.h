@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "rank/order_statistics.h"
 #include "sched/scheduler_traits.h"
@@ -35,14 +36,16 @@ LiveRankResult measure_live_rank(S& sched, std::size_t num_elements,
   OrderStatistics shadow(num_elements);  // priorities are 0..N-1, unique
   Xoshiro256 rng(seed);
 
+  std::vector<typename S::Handle> handles;
+  handles.reserve(threads);
+  for (unsigned tid = 0; tid < threads; ++tid) {
+    handles.push_back(sched.handle(tid));
+  }
   for (std::size_t i = 0; i < num_elements; ++i) {
-    const unsigned tid = static_cast<unsigned>(i % threads);
-    sched.push(tid, Task{i, i});
+    handles[i % threads].push(Task{i, i});
     shadow.insert(i);
   }
-  for (unsigned tid = 0; tid < threads; ++tid) {
-    flush_if_supported(sched, tid);
-  }
+  for (auto& handle : handles) handle.flush();
 
   LiveRankResult result;
   double rank_sum = 0;
@@ -52,7 +55,7 @@ LiveRankResult measure_live_rank(S& sched, std::size_t num_elements,
   unsigned consecutive_failures = 0;
   while (shadow.size() > 0 && consecutive_failures < 4 * threads) {
     const unsigned tid = static_cast<unsigned>(rng.next_below(threads));
-    const std::optional<Task> task = sched.try_pop(tid);
+    const std::optional<Task> task = handles[tid].try_pop();
     if (!task) {
       ++consecutive_failures;
       continue;

@@ -33,14 +33,8 @@
 
 namespace smq {
 
-/// One global lock around one sequential d-ary heap.
-///
-/// Has a native Handle even though it keeps no per-thread state: the
-/// handle caches the lock/heap pair, and more importantly keeps the
-/// strict-PQ anchor on the same zero-probe hot path as the relaxed
-/// schedulers it is measured against. (GlobalSkipListScheduler and
-/// ChunkBagScheduler below intentionally stay tid-only — they are the
-/// standing exercise of the TidHandle migration shim.)
+/// One global lock around one sequential d-ary heap. It keeps no
+/// per-thread state; its Handle just caches the lock/heap pair.
 class GlobalHeapScheduler {
  public:
   explicit GlobalHeapScheduler(unsigned num_threads)
@@ -99,32 +93,22 @@ class GlobalHeapScheduler {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    handle(tid).push_batch(tasks);
-  }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return handle(tid).try_pop_batch(out, max);
-  }
-
  private:
   unsigned num_threads_;
   Spinlock lock_;
   DAryHeap<Task, 4> heap_ SMQ_GUARDED_BY(lock_);
 };
 
-static_assert(HandleScheduler<GlobalHeapScheduler>);
+static_assert(PriorityScheduler<GlobalHeapScheduler>);
 
 struct GlobalSkipListConfig {
   std::uint64_t seed = 1;
   bool reclaim = false;  // epoch-based node reclamation + reuse
 };
 
-/// Exact concurrent delete-min over the lock-free skip list. Stays
-/// tid-only on purpose (the standing exercise of the TidHandle shim);
-/// with reclamation on, each tid call pins the epoch for its duration.
+/// Exact concurrent delete-min over the lock-free skip list. With
+/// reclamation on, each handle operation pins the epoch for its
+/// duration (a batch is a loop of pinned single operations).
 class GlobalSkipListScheduler {
  public:
   using Config = GlobalSkipListConfig;
@@ -142,15 +126,39 @@ class GlobalSkipListScheduler {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    EpochManager::Guard guard(epochs_.get(), tid);
-    list_.insert(tid, task, rngs_[tid].value);
-  }
+  class Handle {
+   public:
+    Handle(GlobalSkipListScheduler& sched, unsigned tid) noexcept
+        : sched_(&sched), tid_(tid) {}
 
-  std::optional<Task> try_pop(unsigned tid) {
-    EpochManager::Guard guard(epochs_.get(), tid);
-    return list_.pop_min(tid);
-  }
+    void push(Task task) {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      sched_->list_.insert(tid_, task, sched_->rngs_[tid_].value);
+    }
+
+    void push_batch(std::span<const Task> tasks) {
+      for (const Task& task : tasks) push(task);
+    }
+
+    std::optional<Task> try_pop() {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      return sched_->list_.pop_min(tid_);
+    }
+
+    std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
+      return handle_pop_loop(*this, out, max);
+    }
+
+    void flush() noexcept {}
+    void collect_stats(ThreadStats&) const noexcept {}
+    unsigned thread_id() const noexcept { return tid_; }
+
+   private:
+    GlobalSkipListScheduler* sched_;
+    unsigned tid_;
+  };
+
+  Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
   void quiesce(unsigned tid) {
     if (epochs_ != nullptr) epochs_->quiesce(tid);
@@ -183,6 +191,9 @@ struct ChunkBagSchedulerConfig {
 };
 
 class ChunkBagScheduler {
+ private:
+  struct Local;
+
  public:
   using Config = ChunkBagSchedulerConfig;
 
@@ -209,44 +220,69 @@ class ChunkBagScheduler {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    Local& local = locals_[tid].value;
-    if (local.push_chunk == nullptr) local.push_chunk = alloc_.make();
-    local.push_chunk->push(task);
-    if (local.push_chunk->full(chunk_size_)) {
-      bag_.push_chunk(0, local.push_chunk);
+  class Handle {
+   public:
+    Handle(ChunkBagScheduler& sched, unsigned tid) noexcept
+        : sched_(&sched), me_(&sched.locals_[tid].value), tid_(tid) {}
+
+    void push(Task task) {
+      Local& local = *me_;
+      if (local.push_chunk == nullptr) local.push_chunk = sched_->alloc_.make();
+      local.push_chunk->push(task);
+      if (local.push_chunk->full(sched_->chunk_size_)) {
+        sched_->bag_.push_chunk(0, local.push_chunk);
+        local.push_chunk = nullptr;
+      }
+    }
+
+    void push_batch(std::span<const Task> tasks) {
+      for (const Task& task : tasks) push(task);
+    }
+
+    std::optional<Task> try_pop() {
+      Local& local = *me_;
+      if (local.pop_chunk != nullptr && !local.pop_chunk->empty()) {
+        return local.pop_chunk->pop();
+      }
+      // One pin covers the Treiber pop and the retirement of the chunk
+      // it replaces (no-op guard in locked mode).
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      if (Chunk* chunk = sched_->bag_.pop_chunk(0)) {
+        if (local.pop_chunk != nullptr) {
+          sched_->bag_.retire_chunk(tid_, local.pop_chunk, sched_->alloc_);
+        }
+        local.pop_chunk = chunk;
+        return local.pop_chunk->pop();
+      }
+      // Nothing published: fall back to our own unflushed chunk.
+      if (local.push_chunk != nullptr && !local.push_chunk->empty()) {
+        return local.push_chunk->pop();
+      }
+      return std::nullopt;
+    }
+
+    std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
+      return handle_pop_loop(*this, out, max);
+    }
+
+    /// Publish the partially filled push chunk.
+    void flush() {
+      Local& local = *me_;
+      if (local.push_chunk == nullptr || local.push_chunk->empty()) return;
+      sched_->bag_.push_chunk(0, local.push_chunk);
       local.push_chunk = nullptr;
     }
-  }
 
-  std::optional<Task> try_pop(unsigned tid) {
-    Local& local = locals_[tid].value;
-    if (local.pop_chunk != nullptr && !local.pop_chunk->empty()) {
-      return local.pop_chunk->pop();
-    }
-    // One pin covers the Treiber pop and the retirement of the chunk
-    // it replaces (no-op guard in locked mode).
-    EpochManager::Guard guard(epochs_.get(), tid);
-    if (Chunk* chunk = bag_.pop_chunk(0)) {
-      if (local.pop_chunk != nullptr) {
-        bag_.retire_chunk(tid, local.pop_chunk, alloc_);
-      }
-      local.pop_chunk = chunk;
-      return local.pop_chunk->pop();
-    }
-    // Nothing published: fall back to our own unflushed chunk.
-    if (local.push_chunk != nullptr && !local.push_chunk->empty()) {
-      return local.push_chunk->pop();
-    }
-    return std::nullopt;
-  }
+    void collect_stats(ThreadStats&) const noexcept {}
+    unsigned thread_id() const noexcept { return tid_; }
 
-  void flush(unsigned tid) {
-    Local& local = locals_[tid].value;
-    if (local.push_chunk == nullptr || local.push_chunk->empty()) return;
-    bag_.push_chunk(0, local.push_chunk);
-    local.push_chunk = nullptr;
-  }
+   private:
+    ChunkBagScheduler* sched_;
+    Local* me_;
+    unsigned tid_;
+  };
+
+  Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
   void quiesce(unsigned tid) {
     if (epochs_ != nullptr) epochs_->quiesce(tid);

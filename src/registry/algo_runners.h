@@ -1,25 +1,16 @@
-// Templated algorithm runners shared by every dispatch path.
+// The algorithm runners behind the algorithm registry's entries.
 //
-// Each run_*_algo<S>() runs one registered workload under a scheduler of
-// *any* concrete type modelling PriorityScheduler and validates against
-// the sequential oracle. All three dispatch modes resolve to the same
-// handle API underneath: the executor acquires one per-thread handle
-// (handle_adapted) per run, so
-//  * the algorithm registry instantiates these with S = AnyScheduler,
-//    whose handle() crosses the HandleView virtual boundary — one
-//    acquisition per thread, then one virtual per op (--dispatch
-//    virtual) or per batch (--dispatch batched);
-//  * the static dispatch table (static_dispatch.h) instantiates them
-//    with the concrete scheduler types, whose native handles inline.
-// Both paths share the exact oracle-comparison and checksum logic and
-// can never drift apart.
+// Each run_*_algo() runs one registered workload under a type-erased
+// AnyScheduler and validates against the sequential oracle. The executor
+// acquires one erased per-thread handle per run, then pays one virtual
+// call per operation (--dispatch virtual) or per batch (--dispatch
+// batched, i.e. --batch-size > 1).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "algorithms/astar.h"
@@ -31,7 +22,6 @@
 #include "registry/graph_registry.h"
 #include "registry/params.h"
 #include "sched/executor.h"
-#include "sched/scheduler_traits.h"
 
 namespace smq {
 
@@ -99,27 +89,27 @@ inline AlgoResult validate_distances(ShortestPathResult result,
 
 // ---- one runner per registered algorithm ----------------------------------
 
-template <PriorityScheduler S>
-AlgoResult run_sssp_algo(const GraphInstance& g, S& sched, unsigned threads,
-                         const ParamMap& params, const AlgoReference* ref) {
+inline AlgoResult run_sssp_algo(const GraphInstance& g, AnyScheduler& sched,
+                                unsigned threads, const ParamMap& params,
+                                const AlgoReference* ref) {
   return validate_distances(
       parallel_sssp(*g.graph, source_of(g, params), sched, threads,
                     executor_options(params)),
       ref);
 }
 
-template <PriorityScheduler S>
-AlgoResult run_bfs_algo(const GraphInstance& g, S& sched, unsigned threads,
-                        const ParamMap& params, const AlgoReference* ref) {
+inline AlgoResult run_bfs_algo(const GraphInstance& g, AnyScheduler& sched,
+                               unsigned threads, const ParamMap& params,
+                               const AlgoReference* ref) {
   return validate_distances(
       parallel_bfs(*g.graph, source_of(g, params), sched, threads,
                    executor_options(params)),
       ref);
 }
 
-template <PriorityScheduler S>
-AlgoResult run_astar_algo(const GraphInstance& g, S& sched, unsigned threads,
-                          const ParamMap& params, const AlgoReference* ref) {
+inline AlgoResult run_astar_algo(const GraphInstance& g, AnyScheduler& sched,
+                                 unsigned threads, const ParamMap& params,
+                                 const AlgoReference* ref) {
   const AStarResult result =
       parallel_astar(*g.graph, source_of(g, params), target_of(g, params),
                      sched, threads, g.weight_scale, executor_options(params));
@@ -134,9 +124,9 @@ AlgoResult run_astar_algo(const GraphInstance& g, S& sched, unsigned threads,
   return out;
 }
 
-template <PriorityScheduler S>
-AlgoResult run_pagerank_algo(const GraphInstance& g, S& sched, unsigned threads,
-                             const ParamMap& params, const AlgoReference* ref) {
+inline AlgoResult run_pagerank_algo(const GraphInstance& g, AnyScheduler& sched,
+                                    unsigned threads, const ParamMap& params,
+                                    const AlgoReference* ref) {
   const PageRankOptions opts = pagerank_options(params);
   const PageRankResult result = parallel_pagerank(
       *g.graph, sched, threads, opts, executor_options(params));
@@ -160,9 +150,9 @@ AlgoResult run_pagerank_algo(const GraphInstance& g, S& sched, unsigned threads,
   return out;
 }
 
-template <PriorityScheduler S>
-AlgoResult run_boruvka_algo(const GraphInstance& g, S& sched, unsigned threads,
-                            const ParamMap& params, const AlgoReference* ref) {
+inline AlgoResult run_boruvka_algo(const GraphInstance& g, AnyScheduler& sched,
+                                   unsigned threads, const ParamMap& params,
+                                   const AlgoReference* ref) {
   const MstResult result =
       parallel_boruvka(*g.graph, sched, threads, executor_options(params));
   AlgoResult out;
@@ -174,29 +164,6 @@ AlgoResult run_boruvka_algo(const GraphInstance& g, S& sched, unsigned threads,
                 *static_cast<const std::uint64_t*>(ref->oracle.get());
   }
   return out;
-}
-
-/// Name-keyed dispatch over the runners above, for callers that already
-/// hold a concrete scheduler (the static dispatch table). Returns false
-/// when `algo` is not a registered algorithm name.
-template <PriorityScheduler S>
-bool run_algo_by_name(std::string_view algo, const GraphInstance& g, S& sched,
-                      unsigned threads, const ParamMap& params,
-                      const AlgoReference* ref, AlgoResult& out) {
-  if (algo == "sssp") {
-    out = run_sssp_algo(g, sched, threads, params, ref);
-  } else if (algo == "bfs") {
-    out = run_bfs_algo(g, sched, threads, params, ref);
-  } else if (algo == "astar") {
-    out = run_astar_algo(g, sched, threads, params, ref);
-  } else if (algo == "pagerank") {
-    out = run_pagerank_algo(g, sched, threads, params, ref);
-  } else if (algo == "boruvka") {
-    out = run_boruvka_algo(g, sched, threads, params, ref);
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace smq

@@ -43,7 +43,7 @@ void register_builtins(AlgorithmRegistry& reg) {
                 std::move(seq.distances));
             return ref;
           },
-      .run = run_sssp_algo<AnyScheduler>,
+      .run = run_sssp_algo,
   });
 
   reg.add({
@@ -64,7 +64,7 @@ void register_builtins(AlgorithmRegistry& reg) {
                 std::move(seq.levels));
             return ref;
           },
-      .run = run_bfs_algo<AnyScheduler>,
+      .run = run_bfs_algo,
   });
 
   reg.add({
@@ -87,7 +87,7 @@ void register_builtins(AlgorithmRegistry& reg) {
             ref.oracle = std::make_shared<std::uint64_t>(seq.distance);
             return ref;
           },
-      .run = run_astar_algo<AnyScheduler>,
+      .run = run_astar_algo,
   });
 
   reg.add({
@@ -119,7 +119,7 @@ void register_builtins(AlgorithmRegistry& reg) {
                 std::move(seq.ranks));
             return ref;
           },
-      .run = run_pagerank_algo<AnyScheduler>,
+      .run = run_pagerank_algo,
   });
 
   reg.add({
@@ -138,7 +138,7 @@ void register_builtins(AlgorithmRegistry& reg) {
             ref.oracle = std::make_shared<std::uint64_t>(seq.total_weight);
             return ref;
           },
-      .run = run_boruvka_algo<AnyScheduler>,
+      .run = run_boruvka_algo,
   });
 }
 

@@ -1,12 +1,9 @@
-// Concrete scheduler configuration builders: ParamMap -> config struct.
-//
-// Split out of the registry factories so that the two dispatch paths
-// share one source of truth for tunables parsing: the scheduler registry
-// wraps the result in AnyScheduler, while the static dispatch table
-// (static_dispatch.h) instantiates the concrete scheduler types directly.
-// Each builder also hands back the simulated-NUMA Topology (when
-// requested) as a shared_ptr the caller must keep alive for the
-// scheduler's lifetime — the configs hold a raw pointer into it.
+// Concrete scheduler configuration builders: ParamMap -> config struct,
+// used by the scheduler registry's factories (which wrap the scheduler
+// built from the config in AnyScheduler) and by tests that check a
+// factory's config. Each builder also hands back the simulated-NUMA
+// Topology (when requested) as a shared_ptr the caller must keep alive
+// for the scheduler's lifetime — the configs hold a raw pointer into it.
 #pragma once
 
 #include <memory>

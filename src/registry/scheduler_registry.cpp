@@ -25,6 +25,9 @@ ParamMap ParamMap::from_args(const ArgParser& args) {
   return params;
 }
 
+namespace {
+
+/// `params` with `defaults` filled in where unset and `pinned` forced.
 ParamMap resolve_preset_params(const ParamMap& params, const ParamMap& defaults,
                                const ParamMap& pinned) {
   ParamMap resolved = params;
@@ -37,24 +40,20 @@ ParamMap resolve_preset_params(const ParamMap& params, const ParamMap& defaults,
   return resolved;
 }
 
-ParamMap resolve_preset_params(const SchedulerEntry& entry,
-                               const ParamMap& params) {
-  return resolve_preset_params(params, entry.defaults, entry.pinned);
-}
-
-namespace {
-
 void append(std::vector<Tunable>& dst, const std::vector<Tunable>& src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
 /// Register `name` as a preset over the already-registered `family`
-/// entry: same factory, params resolved through pinned/defaults. The
-/// preset inherits the family's tunables minus the pinned keys (those
-/// are no longer knobs) with preset defaults substituted in.
+/// entry: a config family plus a fixed knob assignment. The preset
+/// reuses the family's factory; `pinned` knobs always win over caller
+/// params (that is what makes the key a preset), `defaults` fill in only
+/// when the caller left the key unset. The preset inherits the family's
+/// tunables minus the pinned keys (those are no longer knobs) with
+/// preset defaults substituted in.
 void add_preset(SchedulerRegistry& reg, std::string name,
-                std::string description, std::string family, ParamMap pinned,
-                ParamMap defaults = {}) {
+                std::string description, const std::string& family,
+                ParamMap pinned, ParamMap defaults = {}) {
   const SchedulerEntry* base = reg.find(family);
   if (base == nullptr) {
     throw std::logic_error("preset '" + name + "' names unknown family '" +
@@ -64,24 +63,16 @@ void add_preset(SchedulerRegistry& reg, std::string name,
   entry.name = std::move(name);
   entry.description = std::move(description);
   entry.max_threads = base->max_threads;
-  entry.family = std::move(family);
-  entry.pinned = std::move(pinned);
-  entry.defaults = std::move(defaults);
   for (const Tunable& t : base->tunables) {
-    if (entry.pinned.has(t.name)) continue;
+    if (pinned.has(t.name)) continue;
     Tunable preset_t = t;
-    if (entry.defaults.has(t.name)) {
-      preset_t.default_value = entry.defaults.get(t.name);
-    }
+    if (defaults.has(t.name)) preset_t.default_value = defaults.get(t.name);
     entry.tunables.push_back(std::move(preset_t));
   }
-  // Capture the overlays by value: the factory must resolve exactly like
-  // resolve_preset_params() so virtual and static dispatch agree.
-  entry.make = [base_make = base->make, pinned_copy = entry.pinned,
-                defaults_copy = entry.defaults](unsigned threads,
+  entry.make = [base_make = base->make, pinned = std::move(pinned),
+                defaults = std::move(defaults)](unsigned threads,
                                                 const ParamMap& params) {
-    return base_make(
-        threads, resolve_preset_params(params, defaults_copy, pinned_copy));
+    return base_make(threads, resolve_preset_params(params, defaults, pinned));
   };
   reg.add(std::move(entry));
 }

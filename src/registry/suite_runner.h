@@ -21,12 +21,21 @@
 #include "registry/numa_grid.h"
 #include "registry/params.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 #include "registry/suites.h"
 
 namespace smq {
 
 class ArgParser;
+
+/// How the run driver crosses the scheduler boundary. Both modes run the
+/// same AnyScheduler handle path and differ only in `batch-size`.
+enum class DispatchMode {
+  kVirtual,  // one virtual call per push/pop
+  kBatched,  // one virtual call per task batch
+};
+
+std::optional<DispatchMode> parse_dispatch_mode(std::string_view name);
+std::string_view to_string(DispatchMode mode);
 
 /// One result row of a sweep (ad-hoc or suite).
 struct SweepRow {
@@ -35,7 +44,6 @@ struct SweepRow {
   ParamMap row_params;    // per-run overrides (suite grids; empty ad-hoc)
   unsigned requested_threads = 0;
   unsigned threads = 0;   // effective (clamped) count
-  DispatchMode dispatch = DispatchMode::kVirtual;  // actually used
   NumaGridPoint numa;     // this row's grid point (inactive w/o a grid)
   bool numa_grid = false; // row came from a --numa-grid sweep
   AlgoResult result;
@@ -53,7 +61,7 @@ struct SweepReport {
   std::string algorithm;
   GraphInstance graph;
   ParamMap params;             // global params (graph + CLI tunables)
-  DispatchMode dispatch = DispatchMode::kVirtual;  // requested mode
+  DispatchMode dispatch = DispatchMode::kVirtual;
   std::string numa_grid_spec;  // empty without a grid
   std::string suite;           // suite name; empty for ad-hoc sweeps
   const AlgoReference* reference = nullptr;  // null without validation
@@ -79,17 +87,13 @@ AlgoReference measure_reference(const AlgorithmEntry& algo,
                                 const GraphInstance& graph,
                                 const ParamMap& params, int reps);
 
-/// Best-of-`reps` measurement of one sweep row under `entry`
-/// (registered as `scheduler`): the static-dispatch path when
-/// `dispatch` is kStatic and the key resolves to a static row, the
-/// virtual factory otherwise. Prefers valid results, then the fastest
-/// wall time. `threads` must already be clamped via effective_threads().
+/// Best-of-`reps` measurement of one sweep row under `entry`'s factory.
+/// Prefers valid results, then the fastest wall time. `threads` must
+/// already be clamped via effective_threads().
 AlgoResult measure_sweep_row(const SchedulerEntry& entry,
-                             std::string_view scheduler,
                              const AlgorithmEntry& algo,
-                             std::string_view algo_name,
                              const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, DispatchMode dispatch,
+                             const ParamMap& run_params,
                              const AlgoReference* ref, int reps);
 
 /// Normalize --dispatch/--batch-size into the mode that will actually

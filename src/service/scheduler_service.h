@@ -6,9 +6,9 @@
 // paying thread spawn/join plus an O(V) distance-array reset per query
 // would swamp the scheduler the paper actually evaluates. This pool
 // inverts the lifetime: workers are spawned once, each acquires its
-// S::Handle once and holds it across queries (the PR 5 handle API's
-// whole point — per-thread scheduler state persists), and they park on a
-// condition variable when the service is idle. Per-query state is a
+// S::Handle once and holds it across queries (per-thread scheduler
+// state persists), and they park on a condition variable when the
+// service is idle. Per-query state is a
 // "lane": an epoch-versioned label array (versioned_labels.h) plus the
 // query's control block, so starting a query is O(1), not O(V).
 //
@@ -122,7 +122,7 @@ class SchedulerService final : public QueryService {
       // Scheduler-private counters (steal tallies, NUMA attribution)
       // fold into the per-thread slots only now, as in run_parallel.
       for (unsigned tid = 0; tid < workers_; ++tid) {
-        handle_adapted(sched_, tid).collect_stats(stats_.of(tid));
+        sched_.handle(tid).collect_stats(stats_.of(tid));
       }
     }
     stopped_ = true;
@@ -253,7 +253,7 @@ class SchedulerService final : public QueryService {
   }
 
   void worker(unsigned tid) {
-    auto handle = handle_adapted(sched_, tid);
+    auto handle = sched_.handle(tid);
     if (opts_.batch_size > 1) {
       service_loop<true>(handle, stats_.of(tid));
     } else {

@@ -5,7 +5,7 @@
 // load the table (file path, $SMQ_TUNING_TABLE, or the embedded copy),
 // and walk the nearest-neighbor lookup in metrics_table.h. The result
 // always names a preset the SchedulerRegistry can create, so callers
-// can feed it straight into virtual, batched, or static dispatch.
+// can feed it straight into virtual or batched dispatch.
 #pragma once
 
 #include <string>

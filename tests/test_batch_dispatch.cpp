@@ -1,11 +1,9 @@
-// Tests for the batched + static-dispatch hot path: batch push/pop
-// round-trips on every registered scheduler, dispatch-mode equivalence
-// against the sequential oracle, and executor termination with batching
-// at awkward batch sizes.
+// Tests for the batched hot path: batch push/pop round-trips on every
+// registered scheduler, dispatch-mode equivalence against the sequential
+// oracle, and executor termination with batching at awkward batch sizes.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -18,22 +16,17 @@
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 #include "sched/executor.h"
 
 namespace smq {
 namespace {
 
-// The batch concepts must detect the native implementations and the
-// erased boundary alike.
-static_assert(BatchPushScheduler<StealingMultiQueue<>>);
-static_assert(BatchPopScheduler<StealingMultiQueue<>>);
-static_assert(BatchPushScheduler<OptimizedMultiQueue>);
-static_assert(BatchPopScheduler<OptimizedMultiQueue>);
-static_assert(BatchPushScheduler<GlobalHeapScheduler>);
-static_assert(BatchPopScheduler<GlobalHeapScheduler>);
-static_assert(BatchPushScheduler<AnyScheduler>);
-static_assert(BatchPopScheduler<AnyScheduler>);
+// Batch push/pop are part of every handle, native implementations and
+// the erased boundary alike.
+static_assert(SchedulerHandle<StealingMultiQueue<>::Handle>);
+static_assert(SchedulerHandle<OptimizedMultiQueue::Handle>);
+static_assert(SchedulerHandle<GlobalHeapScheduler::Handle>);
+static_assert(SchedulerHandle<AnyScheduler::Handle>);
 
 TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
   constexpr unsigned kThreads = 2;
@@ -41,6 +34,10 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
   for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
     const unsigned threads = effective_threads(entry, kThreads);
     AnyScheduler sched = entry.make(threads, {});
+    std::vector<AnyScheduler::Handle> handles;
+    for (unsigned tid = 0; tid < threads; ++tid) {
+      handles.push_back(sched.handle(tid));
+    }
 
     std::vector<Task> tasks;
     for (std::uint64_t i = 0; i < kTasks; ++i) {
@@ -48,12 +45,12 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
     }
     // Split the batch across the available tids.
     const std::size_t half = threads > 1 ? kTasks / 2 : kTasks;
-    sched.push_batch(0, std::span<const Task>(tasks.data(), half));
+    handles[0].push_batch(std::span<const Task>(tasks.data(), half));
     if (threads > 1) {
-      sched.push_batch(1, std::span<const Task>(tasks.data() + half,
-                                                kTasks - half));
+      handles[1].push_batch(std::span<const Task>(tasks.data() + half,
+                                                  kTasks - half));
     }
-    for (unsigned tid = 0; tid < threads; ++tid) sched.flush(tid);
+    for (auto& handle : handles) handle.flush();
 
     // Drain through the batch interface, alternating tids. Single pops
     // can transiently fail (e.g. a failed steal), so only stop after
@@ -63,9 +60,9 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
     int consecutive_empty = 0;
     while (popped.size() < kTasks && consecutive_empty < 64) {
       bool any = false;
-      for (unsigned tid = 0; tid < threads; ++tid) {
+      for (auto& handle : handles) {
         out.clear();
-        const std::size_t n = sched.try_pop_batch(tid, out, 7);
+        const std::size_t n = handle.try_pop_batch(out, 7);
         ASSERT_EQ(n, out.size()) << entry.name;
         for (const Task& t : out) popped.insert(t.payload);
         any = any || n > 0;
@@ -89,7 +86,8 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
   ASSERT_NE(algo, nullptr);
   const AlgoReference ref = algo->make_reference(graph, params);
 
-  for (const std::string& name : static_dispatch_keys()) {
+  for (const char* name :
+       {"smq", "smq-skiplist", "mq", "mq-opt", "obim", "pmod"}) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
     ASSERT_NE(entry, nullptr) << name;
     const unsigned threads = effective_threads(*entry, 4);
@@ -110,35 +108,7 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
       EXPECT_TRUE(result.validated && result.valid) << name << " batched";
       EXPECT_EQ(result.answer, ref.reference_answer) << name << " batched";
     }
-    // Static.
-    {
-      const std::optional<AlgoResult> result =
-          run_static_dispatch(name, "sssp", graph, threads, params, &ref);
-      ASSERT_TRUE(result.has_value()) << name;
-      EXPECT_TRUE(result->validated && result->valid) << name << " static";
-      EXPECT_EQ(result->answer, ref.reference_answer) << name << " static";
-    }
   }
-}
-
-TEST(BatchDispatch, StaticDispatchCoversAllRegisteredAlgorithms) {
-  ParamMap params;
-  params.set("vertices", "400");
-  params.set("seed", "3");
-  const GraphInstance graph = GraphRegistry::instance().create("rand", params);
-  for (const AlgorithmEntry& algo : AlgorithmRegistry::instance().entries()) {
-    const AlgoReference ref = algo.make_reference(graph, params);
-    const std::optional<AlgoResult> result =
-        run_static_dispatch("smq", algo.name, graph, 2, params, &ref);
-    ASSERT_TRUE(result.has_value()) << algo.name;
-    EXPECT_TRUE(result->validated && result->valid) << algo.name;
-  }
-  EXPECT_FALSE(
-      run_static_dispatch("spraylist", "sssp", graph, 2, params, nullptr)
-          .has_value());
-  EXPECT_FALSE(run_static_dispatch("smq", "no-such-algo", graph, 2, params,
-                                   nullptr)
-                   .has_value());
 }
 
 /// Cascading workload: every task of priority p < depth spawns `fanout`

@@ -94,7 +94,6 @@ TEST(StealingBuffer, ExactlyOneClaimerWins) {
   StealingBuffer buf(3);
   std::atomic<int> winners{0};
   std::atomic<std::uint64_t> claimed_sum{0};
-  std::atomic<bool> go{false};
   std::atomic<int> round_done{0};
 
   std::uint64_t expected_sum = 0;
@@ -107,7 +106,10 @@ TEST(StealingBuffer, ExactlyOneClaimerWins) {
       while (true) {
         const std::uint64_t e = round_epoch.load(std::memory_order_acquire);
         if (e == ~0ull) return;
-        if (e == last_seen) continue;
+        if (e == last_seen) {
+          std::this_thread::yield();  // 4 claimers + main on few cores
+          continue;
+        }
         last_seen = e;
         std::vector<Task> out;
         if (buf.try_claim(out) > 0) {
@@ -120,7 +122,6 @@ TEST(StealingBuffer, ExactlyOneClaimerWins) {
       }
     });
   }
-  (void)go;
   for (int round = 1; round <= kRounds; ++round) {
     const std::uint64_t base = static_cast<std::uint64_t>(round) * 100;
     Task batch[3] = {Task{base, 0}, Task{base + 1, 0}, Task{base + 2, 0}};
@@ -130,6 +131,7 @@ TEST(StealingBuffer, ExactlyOneClaimerWins) {
     round_epoch.store(static_cast<std::uint64_t>(round),
                       std::memory_order_release);
     while (round_done.load(std::memory_order_acquire) < kThreads) {
+      std::this_thread::yield();
     }
     ASSERT_TRUE(buf.is_stolen()) << "someone must have claimed";
   }

@@ -273,10 +273,8 @@ int run_tune(const TuneOptions& opts) {
           if (effective_threads(*entry, threads) != threads) continue;
           Candidate c;
           c.preset = preset;
-          c.result = measure_sweep_row(*entry, preset, *algo, algo_name, graph,
-                                       threads, spec.params,
-                                       DispatchMode::kVirtual, &reference,
-                                       opts.reps);
+          c.result = measure_sweep_row(*entry, *algo, graph, threads,
+                                       spec.params, &reference, opts.reps);
           c.tps = tasks_per_sec(c.result);
           SweepRow row;
           row.label = preset;
@@ -466,9 +464,9 @@ int run_verify(const VerifyOptions& opts) {
     }
     const AlgoReference& reference = references[ref_key];
 
-    const AlgoResult result = measure_sweep_row(
-        *entry, row.preset, *algo, row.algorithm, graph, row.threads,
-        spec.params, DispatchMode::kVirtual, &reference, opts.reps);
+    const AlgoResult result =
+        measure_sweep_row(*entry, *algo, graph, row.threads, spec.params,
+                          &reference, opts.reps);
     if (result.validated && !result.valid) {
       failures.push_back(name + ": preset '" + row.preset +
                          "' produced an INVALID result");

@@ -26,8 +26,12 @@ enum class OwnerPopSource { kEmpty, kHeap, kBuffer };
 template <typename LocalPQ = DAryHeap<Task, 4>>
 class HeapWithStealingBuffer {
  public:
-  explicit HeapWithStealingBuffer(std::size_t steal_size)
-      : buffer_(steal_size == 0 ? 1 : steal_size) {}
+  /// `stealable` false: no other thread will ever steal (a one-thread
+  /// SMQ), so the buffer is never filled and the owner pops the local
+  /// queue directly instead of cycling batches through the buffer.
+  explicit HeapWithStealingBuffer(std::size_t steal_size,
+                                  bool stealable = true)
+      : buffer_(steal_size == 0 ? 1 : steal_size), stealable_(stealable) {}
 
   // ---- owner-only interface -------------------------------------------
 
@@ -35,7 +39,7 @@ class HeapWithStealingBuffer {
   /// previous batch was stolen, so the queue stays visible to stealers.
   void add_local(Task task) {
     heap_.push(task);
-    if (buffer_.is_stolen()) fill_buffer();
+    if (stealable_ && buffer_.is_stolen()) fill_buffer();
   }
 
   /// Owner's view of the best available priority (min of heap top and an
@@ -49,6 +53,9 @@ class HeapWithStealingBuffer {
   /// Decide where the owner's next task comes from; refills the buffer
   /// first so stolen batches are replaced eagerly (Listing 4 line 15).
   OwnerPopSource classify_pop() {
+    if (!stealable_) {
+      return heap_.empty() ? OwnerPopSource::kEmpty : OwnerPopSource::kHeap;
+    }
     if (buffer_.is_stolen()) fill_buffer();
     const std::uint64_t buf_top = buffer_.top_priority();
     const std::uint64_t heap_top =
@@ -97,6 +104,10 @@ class HeapWithStealingBuffer {
  private:
   /// fillBuffer(): move up to SIZE_steal best tasks from the local queue
   /// into the buffer and republish. Requires the stolen flag to be set.
+  /// An empty local queue publishes nothing: the buffer stays stolen, so
+  /// the owner's next add_local() refills it. Publishing an empty batch
+  /// would clear the flag, and since only a claim sets it again, the
+  /// buffer would stay empty (and stealing off) for good.
   void fill_buffer() {
     scratch_.clear();
     for (std::size_t i = 0; i < buffer_.capacity(); ++i) {
@@ -104,11 +115,13 @@ class HeapWithStealingBuffer {
       if (!t) break;
       scratch_.push_back(*t);
     }
+    if (scratch_.empty()) return;
     buffer_.publish(scratch_.data(), scratch_.size());
   }
 
   LocalPQ heap_;
   StealingBuffer buffer_;
+  bool stealable_;
   std::vector<Task> scratch_;  // owner-only fill staging
 };
 

@@ -61,7 +61,8 @@ class StealingMultiQueue {
                                     cfg.numa_weight_k)) {
     for (unsigned tid = 0; tid < num_threads; ++tid) {
       Local& local = locals_[tid].value;
-      local.queue = std::make_unique<QueueType>(cfg.steal_size);
+      local.queue =
+          std::make_unique<QueueType>(cfg.steal_size, num_threads > 1);
       local.rng = Xoshiro256(thread_seed(cfg.seed, tid));
       local.stolen_tasks.reserve(cfg.steal_size);
     }

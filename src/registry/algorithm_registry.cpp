@@ -15,8 +15,8 @@ namespace {
 /// `smq_run --list` self-describes the batched hot path.
 const std::vector<Tunable> kExecutorTunables = {
     {"batch-size", "1",
-     "tasks per executor scheduler call (one dispatch + one pending-counter "
-     "update per batch; >1 enables the batched worker loop)"},
+     "tasks per executor scheduler call (one dispatch per batch; >1 "
+     "enables the batched worker loop)"},
 };
 
 std::vector<Tunable> with_executor_tunables(std::vector<Tunable> tunables) {

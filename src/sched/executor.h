@@ -6,18 +6,22 @@
 // RNG, stickiness slots, buffers) is resolved a single time per run
 // instead of on every push/pop. Each thread then
 // loops: pop work, run the user functor (which may push follow-up tasks),
-// repeat. Termination uses a global pending-task counter: push
-// increments, completing a popped task decrements; a thread may only exit
-// when its pop failed *after flushing its buffers through the handle* and
-// the counter reads zero. This is exact for the monotone workloads in the
-// paper (tasks only create tasks while being executed).
+// repeat. Termination uses a global pending-task counter that counts
+// every pushed-but-unretired task exactly. The per-task updates go to a
+// thread-local PendingReserve, not to the shared atomic: a push spends one
+// unit of the reserve, a retire returns one to it, and the reserve trades
+// with the global counter only in fixed chunks. A thread may only exit
+// when its pop failed *after flushing its buffers through the handle and
+// returning its whole reserve*, and the counter reads zero. This is exact
+// for the monotone workloads in the paper (tasks only create tasks while
+// being executed).
 //
 // One worker loop serves both execution styles, templated on kBatched:
-//  * per-task (batch_size == 1): the classic pop/run/decrement loop; the
+//  * per-task (batch_size == 1): the classic pop/run/retire loop; the
 //    push-buffer machinery compiles away entirely.
 //  * batched (batch_size > 1): pops up to batch_size tasks with one
 //    handle call, buffers pushes thread-locally and publishes them with
-//    one handle call + one counter update per flush. This amortizes the
+//    one handle call + one reserve update per flush. This amortizes the
 //    dispatch boundary (e.g. AnyScheduler's virtual HandleView) the same
 //    way the paper's Optimization 1 amortizes queue locks.
 #pragma once
@@ -45,18 +49,82 @@ struct ExecutorOptions {
   std::size_t batch_size = 1;
 };
 
+/// One worker's private share of the global pending-task counter.
+///
+/// Termination needs an exact count of unretired tasks, but one shared
+/// atomic updated on every push and every retire puts all workers on one
+/// cache line twice per task. Instead each worker draws units from the
+/// global counter kChunk at a time into its reserve: a push spends one
+/// unit (before the task becomes visible), a retire returns one (after
+/// the task's children were counted). The shared counter is touched only
+/// by those draws, by returning the reserve down to kChunk once it
+/// exceeds kCap, and by release_all() before an idle thread reads it.
+///
+/// Invariant: global == sum of all reserves + pushed-but-unretired tasks.
+/// Reserves never go negative, so once every reader returns its own
+/// reserve before its read, a global reading of 0 still means drained.
+/// A unit is returned only after (in happens-before, hence in the
+/// counter's modification order) it was drawn and every task it counted
+/// was retired, so the counter's modification order alone still rules
+/// out a phantom zero, exactly as with per-task updates.
+class PendingReserve {
+ public:
+  static constexpr std::int64_t kChunk = 64;
+  static constexpr std::int64_t kCap = 2 * kChunk;
+
+  explicit PendingReserve(std::atomic<std::int64_t>& global) noexcept
+      : global_(global) {}
+
+  PendingReserve(const PendingReserve&) = delete;
+  PendingReserve& operator=(const PendingReserve&) = delete;
+
+  /// Count `n` tasks about to be pushed; call before they are visible.
+  void spend(std::int64_t n) {
+    if (held_ < n) {
+      const std::int64_t draw = (n - held_ + kChunk - 1) / kChunk * kChunk;
+      global_.fetch_add(draw, std::memory_order_relaxed);
+      held_ += draw;
+    }
+    held_ -= n;
+  }
+
+  /// Retire `n` executed tasks; call after their children were counted.
+  void retire(std::int64_t n) {
+    held_ += n;
+    if (held_ > kCap) give_back(held_ - kChunk);
+  }
+
+  /// Return the whole reserve: before reading the global counter, or
+  /// when this worker may stop running tasks for a while (parking).
+  void release_all() {
+    if (held_ != 0) give_back(held_);
+  }
+
+  std::int64_t held() const noexcept { return held_; }
+
+ private:
+  // acq_rel as the per-task retire was: the release hands the retired
+  // tasks' effects to whichever thread reads zero with an acquire load.
+  void give_back(std::int64_t n) {
+    global_.fetch_sub(n, std::memory_order_acq_rel);
+    held_ -= n;
+  }
+
+  std::atomic<std::int64_t>& global_;
+  std::int64_t held_ = 0;
+};
+
 /// Per-thread view given to the task functor; the only way user code
 /// interacts with the scheduler during a run. Pushes go straight through
-/// the thread's handle, one pending-counter RMW per task.
+/// the thread's handle, each counted from the thread's PendingReserve.
 template <SchedulerHandle H>
 class WorkContext {
  public:
-  WorkContext(H& handle, std::atomic<std::int64_t>& pending,
-              ThreadStats& stats) noexcept
-      : handle_(handle), pending_(pending), stats_(stats) {}
+  WorkContext(H& handle, PendingReserve& reserve, ThreadStats& stats) noexcept
+      : handle_(handle), reserve_(reserve), stats_(stats) {}
 
   void push(Task t) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
+    reserve_.spend(1);
     handle_.push(t);
     ++stats_.pushes;
   }
@@ -72,24 +140,22 @@ class WorkContext {
 
  private:
   H& handle_;
-  std::atomic<std::int64_t>& pending_;
+  PendingReserve& reserve_;
   ThreadStats& stats_;
 };
 
 /// Batched counterpart of WorkContext: pushes accumulate in a per-thread
-/// buffer and reach the scheduler via one handle push_batch with a single
-/// relaxed fetch_add(n) on the pending counter per flush (instead of one
-/// RMW per task). Safe for termination because the counter is bumped
-/// *before* the tasks become visible, and the executed tasks that created
-/// them are not retired until after flush() (see worker_loop).
+/// buffer and reach the scheduler via one handle push_batch, counted by
+/// one reserve spend per flush. Safe for termination because the tasks
+/// are counted *before* they become visible, and the executed tasks that
+/// created them are not retired until after flush() (see worker_loop).
 template <SchedulerHandle H>
 class BatchWorkContext {
  public:
-  BatchWorkContext(H& handle, std::atomic<std::int64_t>& pending,
-                   ThreadStats& stats, std::vector<Task>& buffer,
-                   std::size_t capacity) noexcept
+  BatchWorkContext(H& handle, PendingReserve& reserve, ThreadStats& stats,
+                   std::vector<Task>& buffer, std::size_t capacity) noexcept
       : handle_(handle),
-        pending_(pending),
+        reserve_(reserve),
         stats_(stats),
         buffer_(buffer),
         capacity_(capacity == 0 ? 1 : capacity) {
@@ -103,13 +169,12 @@ class BatchWorkContext {
     if (buffer_.size() >= capacity_) flush();
   }
 
-  /// Publish every buffered task. Counter first, then tasks: a task must
+  /// Publish every buffered task. Count first, then tasks: a task must
   /// never be poppable before it is counted, or another thread could read
   /// pending == 0 with work still in flight.
   void flush() {
     if (buffer_.empty()) return;
-    pending_.fetch_add(static_cast<std::int64_t>(buffer_.size()),
-                       std::memory_order_relaxed);
+    reserve_.spend(static_cast<std::int64_t>(buffer_.size()));
     handle_.push_batch(std::span<const Task>(buffer_));
     buffer_.clear();
   }
@@ -120,7 +185,7 @@ class BatchWorkContext {
 
  private:
   H& handle_;
-  std::atomic<std::int64_t>& pending_;
+  PendingReserve& reserve_;
   ThreadStats& stats_;
   std::vector<Task>& buffer_;
   std::size_t capacity_;
@@ -144,29 +209,29 @@ namespace detail {
 /// once:
 ///
 /// Children first, then retire the executed work. The executed tasks'
-/// pending counts cover their still-buffered children, so the counter
-/// cannot dip to zero while work sits in this thread's buffer. fetch_sub
-/// and fetch_add hit the same atomic, so the counter's modification
-/// order alone rules out a phantom zero; the acq_rel on the sub is what
-/// hands a release edge to the thread that finally observes zero with
-/// its acquire load. On an empty pop, everything this thread still
-/// buffers (context push buffer, scheduler-internal insert buffers) must
-/// be published through the handle before the counter read is allowed to
-/// conclude the system has drained.
+/// units cover their still-buffered children, so the count cannot dip to
+/// zero while work sits in this thread's buffer. Pushes and retires move
+/// units within this thread's PendingReserve; the global counter sees
+/// only chunked draws and returns (PendingReserve states the invariant).
+/// On an empty pop, everything this thread still buffers (context push
+/// buffer, scheduler-internal insert buffers) must be published through
+/// the handle, and then the whole reserve returned, before the counter
+/// read is allowed to conclude the system has drained.
 template <bool kBatched, SchedulerHandle H, typename Fn>
 void worker_loop(H& handle, std::atomic<std::int64_t>& pending,
                  ThreadStats& stats, Fn& fn, std::size_t batch_size,
                  WorkerBuffers* bufs) {
   using Ctx =
       std::conditional_t<kBatched, BatchWorkContext<H>, WorkContext<H>>;
+  PendingReserve reserve(pending);
   Ctx ctx = [&] {
     if constexpr (kBatched) {
       bufs->pop.reserve(batch_size);
-      return Ctx(handle, pending, stats, bufs->push, batch_size);
+      return Ctx(handle, reserve, stats, bufs->push, batch_size);
     } else {
       (void)bufs;
       (void)batch_size;
-      return Ctx(handle, pending, stats);
+      return Ctx(handle, reserve, stats);
     }
   }();
   Backoff backoff;
@@ -190,15 +255,16 @@ void worker_loop(H& handle, std::atomic<std::int64_t>& pending,
     }
     if (taken > 0) {
       ctx.flush();  // children visible before their parents retire
-      pending.fetch_sub(static_cast<std::int64_t>(taken),
-                        std::memory_order_acq_rel);
+      reserve.retire(static_cast<std::int64_t>(taken));
       continue;
     }
     ++stats.empty_pops;
     // Nothing popped: publish our buffered children and the scheduler's
-    // buffered inserts before trusting the counter.
+    // buffered inserts, and hand back our reserve, before trusting the
+    // counter.
     ctx.flush();
     handle.flush();
+    reserve.release_all();
     if (pending.load(std::memory_order_acquire) == 0) return;
     backoff.pause();
     // Oversubscribed pools (threads > cores) must hand the core to
@@ -230,9 +296,10 @@ RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
     for (unsigned tid = 0; tid < num_threads; ++tid) {
       handles.push_back(sched.handle(tid));
     }
+    pending.store(static_cast<std::int64_t>(initial.size()),
+                  std::memory_order_relaxed);
     for (std::size_t i = 0; i < initial.size(); ++i) {
       const unsigned tid = static_cast<unsigned>(i % num_threads);
-      pending.fetch_add(1, std::memory_order_relaxed);
       handles[tid].push(initial[i]);
       ++stats.of(tid).pushes;
     }

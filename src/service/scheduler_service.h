@@ -14,14 +14,21 @@
 //
 // Concurrency protocol, layered over the executor's:
 //  * Global termination counter `pending_` works exactly as in
-//    worker_loop: count before visible, retire after flush. Here it
-//    never signals exit (the pool is long-lived) — it gates *parking*:
-//    a worker may only park when a flush-then-check sees zero.
-//  * Each query's Job carries its own pending count (seed = 1; children
-//    counted before they are buffered, parents retired only after the
-//    batch flush). The worker that retires a job's last task completes
-//    the query: reads the result off the lane, records latency, frees
-//    the lane, fulfils the promise.
+//    worker_loop, through a per-worker PendingReserve (sched/executor.h):
+//    pushes spend reserve units before the task is visible, retires
+//    return units after the flush, and only chunked draws and returns
+//    touch the shared atomic, so that global == sum of reserves +
+//    unretired tasks. Here the counter never signals exit (the pool is
+//    long-lived) — it gates *parking*: a worker may only park when a
+//    flush, then a return of its whole reserve, then a check sees zero.
+//    A worker that parked holding units would keep the count above zero
+//    with nobody left to return them, and the others would spin forever.
+//  * Each query's Job carries its own pending count (seed = 1). An
+//    executed task adds all its children in one update before the first
+//    of them is visible; retires are taken once per same-lane run of a
+//    popped batch, after the batch flush. The worker that retires a
+//    job's last task completes the query: reads the result off the
+//    lane, records latency, frees the lane, fulfils the promise.
 //  * Admission is worker-side only. submit() enqueues under the mutex
 //    and wakes the pool; a worker with nothing to pop claims queued
 //    queries for free lanes and seeds them through its own handle's
@@ -61,6 +68,7 @@
 #include "service/query.h"
 #include "service/versioned_labels.h"
 #include "support/mutex.h"
+#include "support/padding.h"
 #include "support/spinlock.h"
 #include "support/thread_annotations.h"
 
@@ -200,12 +208,14 @@ class SchedulerService final : public QueryService {
     unsigned lane = 0;
     std::uint64_t epoch = 0;
     std::promise<QueryResult> promise;
+    /// Incumbent distance at the target; prunes f >= best (A*). Read on
+    /// every relax, so it stays with the read-mostly fields above.
+    std::atomic<std::uint64_t> best_target{QueryResult::kUnreached};
     /// Unretired tasks of this query; the seed counts 1. Zero =>
     /// the query's task graph has drained (same protocol as the
-    /// executor's global counter, scoped to one query).
-    std::atomic<std::int64_t> pending{0};
-    /// Incumbent distance at the target; prunes f >= best (A*).
-    std::atomic<std::uint64_t> best_target{QueryResult::kUnreached};
+    /// executor's global counter, scoped to one query). Every retiring
+    /// worker writes these counters, so they get their own cache line.
+    alignas(kFalseSharingRange) std::atomic<std::int64_t> pending{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> wasted{0};
   };
@@ -218,6 +228,15 @@ class SchedulerService final : public QueryService {
     VersionedLabels labels;
     std::atomic<Job*> job{nullptr};
     std::shared_ptr<Job> owner;
+  };
+
+  /// Consecutive tasks of one popped batch on the same lane: retired
+  /// with one update of each job counter.
+  struct LaneRun {
+    Lane* lane;
+    Job* job;
+    std::uint64_t tasks;
+    std::uint64_t wasted;
   };
 
   struct Completion {
@@ -266,62 +285,60 @@ class SchedulerService final : public QueryService {
     WorkerBuffers bufs;
     const std::size_t batch = opts_.batch_size;
     using Ctx = std::conditional_t<kBatched, BatchWorkContext<H>, WorkContext<H>>;
+    PendingReserve reserve(pending_);
     Ctx ctx = [&] {
       if constexpr (kBatched) {
         bufs.pop.reserve(batch);
-        return Ctx(handle, pending_, stats, bufs.push, batch);
+        return Ctx(handle, reserve, stats, bufs.push, batch);
       } else {
-        return Ctx(handle, pending_, stats);
+        return Ctx(handle, reserve, stats);
       }
     }();
     Backoff backoff;
     std::vector<Task> seeds;
+    std::vector<Task> children;
+    std::vector<LaneRun> runs;
     std::vector<Completion> done;
-    Task single{};
     while (true) {
       std::size_t taken = 0;
+      runs.clear();
       if constexpr (kBatched) {
         bufs.pop.clear();
         taken = handle.try_pop_batch(bufs.pop, batch);
         if (taken > 0) {
           backoff.reset();
           stats.pops += taken;
-          for (const Task& t : bufs.pop) execute_task(t, ctx);
+          for (const Task& t : bufs.pop) execute_task(t, ctx, children, runs);
         }
       } else {
         if (std::optional<Task> t = handle.try_pop()) {
           taken = 1;
           backoff.reset();
           ++stats.pops;
-          single = *t;
-          execute_task(single, ctx);
+          execute_task(*t, ctx, children, runs);
         }
       }
       if (taken > 0) {
-        // Children first (flush), then retire — a job's pending count
-        // must cover its still-buffered children, and the global
-        // counter must cover every lane until its tasks are retired.
+        // Children first (flush), then retire — the global count must
+        // cover every lane until its tasks are retired.
         ctx.flush();
-        if constexpr (kBatched) {
-          for (const Task& t : bufs.pop) retire_task(t, done);
-        } else {
-          retire_task(single, done);
-        }
-        pending_.fetch_sub(static_cast<std::int64_t>(taken),
-                           std::memory_order_acq_rel);
+        for (const LaneRun& run : runs) retire_run(run, done);
+        reserve.retire(static_cast<std::int64_t>(taken));
         if (!done.empty()) {
           for (Completion& c : done) c.job->promise.set_value(c.result);
           done.clear();
-          try_admit(handle, stats, seeds);  // reuse the freed lanes now
+          try_admit(handle, reserve, stats, seeds);  // reuse the freed lanes now
         }
         continue;
       }
       ++stats.empty_pops;
-      // Publish buffered children and scheduler-internal inserts before
-      // trusting the pending counter (the executor's rule).
+      // Publish buffered children and scheduler-internal inserts, and
+      // hand back the reserve, before trusting the pending counter (the
+      // executor's rule).
       ctx.flush();
       handle.flush();
-      if (try_admit(handle, stats, seeds)) continue;
+      if (try_admit(handle, reserve, stats, seeds)) continue;
+      reserve.release_all();
       if (pending_.load(std::memory_order_acquire) != 0) {
         backoff.pause();
         std::this_thread::yield();
@@ -354,22 +371,32 @@ class SchedulerService final : public QueryService {
     }
   }
 
+  /// Relax one task. Its children are staged in `children` so the job
+  /// counts them with one add before the first becomes visible; the task
+  /// itself is tallied into the batch's current same-lane run in `runs`.
   template <typename Ctx>
-  void execute_task(const Task& task, Ctx& ctx) {
+  void execute_task(const Task& task, Ctx& ctx, std::vector<Task>& children,
+                    std::vector<LaneRun>& runs) {
     const unsigned lane_id = lane_of(task.payload);
     const VertexId v = vertex_of(task.payload);
     Lane& lane = *lanes_[lane_id];
     // Never null: an in-scheduler task keeps its job's pending > 0,
     // which blocks completion (and lane reuse) until it retires.
     Job* job = lane.job.load(std::memory_order_acquire);
+    if (runs.empty() || runs.back().lane != &lane) {
+      runs.push_back(LaneRun{&lane, job, 0, 0});
+    }
+    LaneRun& run = runs.back();
+    ++run.tasks;
     const std::uint64_t f = task.priority;
     const std::uint64_t g = f - heuristic(v, job->query.target);
     if (lane.labels.load(v, job->epoch) < g ||
         f >= job->best_target.load(std::memory_order_relaxed)) {
       ctx.mark_wasted();
-      job->wasted.fetch_add(1, std::memory_order_relaxed);
+      ++run.wasted;
       return;
     }
+    children.clear();
     for (const Graph::Neighbor& n : graph_->neighbors(v)) {
       const std::uint64_t ng = g + n.weight;
       if (!lane.labels.relax_min(n.to, ng, job->epoch)) continue;
@@ -383,18 +410,24 @@ class SchedulerService final : public QueryService {
       }
       const std::uint64_t nf = ng + heuristic(n.to, job->query.target);
       if (nf < job->best_target.load(std::memory_order_relaxed)) {
-        job->pending.fetch_add(1, std::memory_order_relaxed);
-        ctx.push(Task{nf, payload_of(lane_id, n.to)});
+        children.push_back(Task{nf, payload_of(lane_id, n.to)});
       }
     }
+    if (children.empty()) return;
+    job->pending.fetch_add(static_cast<std::int64_t>(children.size()),
+                           std::memory_order_relaxed);
+    for (const Task& child : children) ctx.push(child);
   }
 
-  void retire_task(const Task& task, std::vector<Completion>& done) {
-    Lane& lane = *lanes_[lane_of(task.payload)];
-    Job* job = lane.job.load(std::memory_order_acquire);
-    job->executed.fetch_add(1, std::memory_order_relaxed);
-    if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done.push_back(complete_query(lane, *job));
+  void retire_run(const LaneRun& run, std::vector<Completion>& done) {
+    Job& job = *run.job;
+    job.executed.fetch_add(run.tasks, std::memory_order_relaxed);
+    if (run.wasted != 0) {
+      job.wasted.fetch_add(run.wasted, std::memory_order_relaxed);
+    }
+    const auto n = static_cast<std::int64_t>(run.tasks);
+    if (job.pending.fetch_sub(n, std::memory_order_acq_rel) == n) {
+      done.push_back(complete_query(*run.lane, job));
     }
   }
 
@@ -423,7 +456,8 @@ class SchedulerService final : public QueryService {
   /// worker's handle. try_to_lock: admission is an optimization on the
   /// idle path; blocking every idle worker on one mutex is not.
   template <typename H>
-  bool try_admit(H& handle, ThreadStats& stats, std::vector<Task>& seeds) {
+  bool try_admit(H& handle, PendingReserve& reserve, ThreadStats& stats,
+                 std::vector<Task>& seeds) {
     if (queued_.load(std::memory_order_relaxed) == 0) return false;
     seeds.clear();
     // Explicit try_lock/unlock (rather than a scoped guard) so the
@@ -448,10 +482,9 @@ class SchedulerService final : public QueryService {
     }
     mutex_.unlock();
     if (seeds.empty()) return false;
-    // Counter before visibility, exactly like BatchWorkContext::flush.
+    // Counted before visible, exactly like BatchWorkContext::flush.
     stats.pushes += seeds.size();
-    pending_.fetch_add(static_cast<std::int64_t>(seeds.size()),
-                       std::memory_order_relaxed);
+    reserve.spend(static_cast<std::int64_t>(seeds.size()));
     handle.push_batch(std::span<const Task>(seeds));
     wake_all();
     return true;
@@ -475,8 +508,8 @@ class SchedulerService final : public QueryService {
   LatencyHistogram latency_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 
-  /// Global unretired-task counter across all in-flight queries; gates
-  /// parking, never termination.
+  /// Global unretired-task counter across all in-flight queries, plus
+  /// the workers' reserves; gates parking, never termination.
   std::atomic<std::int64_t> pending_{0};
   std::atomic<std::uint64_t> queries_completed_{0};
   std::atomic<std::uint64_t> queued_{0};  // lock-free mirror of queue_.size()

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "queues/skiplist.h"
@@ -91,6 +92,97 @@ TYPED_TEST(HeapWithStealingTyped, RefillAfterStealExposesNextBatch) {
   for (const Task& a : stolen) {
     for (const Task& b : second) EXPECT_NE(a.payload, b.payload);
   }
+}
+
+TYPED_TEST(HeapWithStealingTyped, DrainThenPushStaysStealable) {
+  // The owner empties its queue (the final classify finds nothing left to
+  // publish), then pushes again. The new tasks must reach the buffer: a
+  // drained owner that published an empty batch would clear the stolen
+  // flag, so no later add_local would refill it and stealing would stay
+  // off for the rest of the run.
+  HeapWithStealingBuffer<TypeParam> q(2);
+  const auto visible_while_held = [&q](const char* when) {
+    if (q.heap_size() > 0) {
+      EXPECT_NE(q.steal_top_priority(), Task::kInfinity) << when;
+    }
+  };
+  for (std::uint64_t p = 1; p <= 5; ++p) {
+    q.add_local(Task{p, p});
+    visible_while_held("first fill");
+  }
+  std::size_t drained = 0;
+  while (true) {
+    const OwnerPopSource src = q.classify_pop();
+    visible_while_held("drain");
+    if (src == OwnerPopSource::kEmpty) break;
+    if (src == OwnerPopSource::kHeap) {
+      (void)q.pop_heap();
+      ++drained;
+    } else {
+      std::vector<Task> claimed;
+      drained += q.reclaim_buffer(claimed);
+    }
+    visible_while_held("drain");
+  }
+  ASSERT_EQ(drained, 5u);
+  EXPECT_EQ(q.classify_pop(), OwnerPopSource::kEmpty);
+  EXPECT_EQ(q.steal_top_priority(), Task::kInfinity);
+
+  for (std::uint64_t p = 10; p <= 15; ++p) {
+    q.add_local(Task{p, p});
+    EXPECT_NE(q.steal_top_priority(), Task::kInfinity) << "push " << p;
+    visible_while_held("second fill");
+  }
+  // A second consumer can take the published batch (the first push
+  // refilled the buffer; the later ones wait in the heap).
+  std::vector<Task> stolen;
+  ASSERT_EQ(q.try_steal(stolen), 1u);
+  EXPECT_EQ(stolen[0].priority, 10u);
+  // The owner's next touch republishes the best two, so the thief can
+  // steal again; the owner then drains the rest, every task exactly once.
+  EXPECT_NE(q.classify_pop(), OwnerPopSource::kEmpty);
+  visible_while_held("refill");
+  std::vector<Task> again;
+  ASSERT_EQ(q.try_steal(again), 2u);
+  EXPECT_EQ(again[0].priority, 11u);
+  EXPECT_EQ(again[1].priority, 12u);
+  std::vector<std::uint64_t> seen;
+  for (const Task& t : stolen) seen.push_back(t.priority);
+  for (const Task& t : again) seen.push_back(t.priority);
+  while (true) {
+    const OwnerPopSource src = q.classify_pop();
+    visible_while_held("final drain");
+    if (src == OwnerPopSource::kEmpty) break;
+    if (src == OwnerPopSource::kHeap) {
+      seen.push_back(q.pop_heap().priority);
+    } else {
+      std::vector<Task> claimed;
+      q.reclaim_buffer(claimed);
+      for (const Task& t : claimed) seen.push_back(t.priority);
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{10, 11, 12, 13, 14, 15}));
+}
+
+TYPED_TEST(HeapWithStealingTyped, UnstealableQueuePopsLocalQueueInOrder) {
+  // One-thread SMQ: nothing is ever published, the owner pops the local
+  // queue directly and in priority order.
+  HeapWithStealingBuffer<TypeParam> q(2, /*stealable=*/false);
+  for (std::uint64_t p : {5, 3, 1, 4, 2}) {
+    q.add_local(Task{p, p});
+    EXPECT_EQ(q.steal_top_priority(), Task::kInfinity);
+  }
+  EXPECT_EQ(q.heap_size(), 5u);
+  EXPECT_EQ(q.local_top_priority(), 1u);
+  std::vector<Task> stolen;
+  EXPECT_EQ(q.try_steal(stolen), 0u);
+  std::vector<std::uint64_t> popped;
+  while (q.classify_pop() == OwnerPopSource::kHeap) {
+    popped.push_back(q.pop_heap().priority);
+  }
+  EXPECT_EQ(q.classify_pop(), OwnerPopSource::kEmpty);
+  EXPECT_EQ(popped, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
 TYPED_TEST(HeapWithStealingTyped, StealSizeOneBehavesLikeSingleTask) {

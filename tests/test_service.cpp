@@ -258,6 +258,38 @@ TEST(SchedulerServiceQueries, UnbatchedLoopMatchesBatched) {
   }
 }
 
+TEST(SchedulerServiceQueries, ParksBetweenWavesAndStopsCleanly) {
+  // Two waves with an idle gap: after the first drains, every worker
+  // must hand back its pending reserve before it parks, or the count
+  // stays above zero and the pool never goes quiet. The second wave wakes
+  // the pool, and stop() must then find the counter at zero.
+  const GraphInstance gi = road_instance(1200, /*seed=*/31);
+  const std::vector<Query> queries = make_query_set(gi, 60, /*seed=*/9);
+  std::vector<std::uint64_t> expected;
+  for (const Query& q : queries) {
+    expected.push_back(
+        sequential_astar(*gi.graph, q.source, q.target, gi.weight_scale).distance);
+  }
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+    auto service = make_concrete(gi, 3, ServiceOptions{.batch_size = batch});
+    for (const std::size_t half : {std::size_t{0}, queries.size() / 2}) {
+      std::vector<QueryTicket> tickets;
+      for (std::size_t i = half; i < half + queries.size() / 2; ++i) {
+        tickets.push_back(service->submit(queries[i]));
+      }
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        EXPECT_EQ(tickets[i].get().distance, expected[half + i])
+            << "batch " << batch << " query " << half + i;
+      }
+    }
+    service->stop();
+    EXPECT_EQ(service->queries_completed(), queries.size()) << "batch " << batch;
+    const ThreadStats st = service->worker_stats();
+    EXPECT_EQ(st.pops, st.pushes) << "batch " << batch;
+    EXPECT_GT(st.pops, queries.size()) << "batch " << batch;
+  }
+}
+
 TEST(SchedulerServiceQueries, DijkstraFallbackWithoutCoordinates) {
   // No coordinates: heuristic must degrade to 0 (p2p Dijkstra) and still
   // match the oracle (which degrades identically).

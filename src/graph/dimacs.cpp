@@ -1,5 +1,6 @@
 #include "graph/dimacs.h"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -17,6 +18,16 @@ namespace {
 void chomp_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
+
+/// Largest vertex count a problem line may declare. A .gr file stores
+/// nothing per vertex, so the count alone sizes the CSR offsets (8 bytes
+/// a vertex): a corrupt header must throw, not allocate tens of GiB.
+/// 2^28 is 11x the full USA road network (23.9M vertices).
+constexpr std::uint64_t kMaxVertices = std::uint64_t{1} << 28;
+
+/// Arcs reserved up front; beyond this the edge list grows as arcs
+/// actually arrive, so a corrupt arc count cannot drive the allocation.
+constexpr std::size_t kMaxArcReserve = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -42,10 +53,10 @@ Graph read_dimacs_gr(std::istream& in) {
         }
         std::string kind;
         ss >> kind >> num_vertices >> num_edges;
-        if (!ss || kind != "sp") {
+        if (!ss || kind != "sp" || num_vertices > kMaxVertices) {
           throw std::runtime_error("dimacs: bad problem line: " + line);
         }
-        edges.reserve(num_edges);
+        edges.reserve(std::min(num_edges, kMaxArcReserve));
         have_header = true;
         break;
       }

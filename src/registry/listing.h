@@ -22,9 +22,8 @@ inline void print_registry_listing(std::ostream& os) {
   os << "schedulers:\n";
   // The pseudo-scheduler first: not a registry entry (it resolves to
   // one), but it is a valid --sched value and must be discoverable.
-  os << "  auto - pick the preset the tuning metrics table measured best "
-        "for this\n         (graph class, algorithm, threads) — see smq_tune "
-        "and data/tuning/\n";
+  os << "  auto - smq, or the preset a measured rule names for the "
+        "algorithm\n         (bfs -> pmod-d4; see tuning/auto_select.h)\n";
   for (const SchedulerEntry& e : SchedulerRegistry::instance().entries()) {
     os << "  " << e.name;
     if (e.max_threads == 1) os << " [single-threaded]";

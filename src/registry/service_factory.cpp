@@ -10,16 +10,10 @@
 
 namespace smq {
 
-std::string_view service_auto_algorithm(const GraphInstance& graph) {
-  return graph.graph != nullptr && !graph.graph->coordinates().empty()
-             ? "astar"
-             : "sssp";
-}
-
 unsigned service_effective_threads(std::string_view sched_name,
                                    unsigned requested) {
   if (sched_name == tuning::kAutoSchedulerName) {
-    return requested == 0 ? 1 : requested;
+    sched_name = tuning::resolve_auto(kServiceAlgorithm).preset;
   }
   const SchedulerEntry* entry =
       SchedulerRegistry::instance().find(sched_name);
@@ -34,15 +28,10 @@ std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,
                                            const ParamMap& params,
                                            const GraphInstance& graph,
-                                           ServiceOptions opts,
-                                           tuning::AutoSelection* selection) {
+                                           ServiceOptions opts) {
   std::string resolved(sched_name);
   if (sched_name == tuning::kAutoSchedulerName) {
-    tuning::AutoSelection sel = tuning::select_scheduler(
-        graph, service_auto_algorithm(graph), threads == 0 ? 1 : threads,
-        params.get("tuning-table", ""));
-    resolved = sel.preset;
-    if (selection != nullptr) *selection = std::move(sel);
+    resolved = tuning::resolve_auto(kServiceAlgorithm).preset;
   }
   const unsigned workers = service_effective_threads(resolved, threads);
   opts.weight_scale = graph.weight_scale;

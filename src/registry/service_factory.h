@@ -16,30 +16,25 @@
 
 namespace smq {
 
-/// The algorithm `--sched auto` tunes a service for: the service runs
-/// point-to-point queries, which are A* when the graph carries
-/// coordinates and plain SSSP otherwise.
-std::string_view service_auto_algorithm(const GraphInstance& graph);
+/// The algorithm `--sched auto` resolves a service for: the service
+/// answers point-to-point A* queries (Dijkstra without coordinates).
+inline constexpr std::string_view kServiceAlgorithm = "astar";
 
 /// Build a running service for `sched_name` x `threads` over `graph`.
 /// The worker count is clamped to the scheduler's thread capacity
 /// (effective_threads), the heuristic scale comes from the graph
 /// instance, and `params` reaches the scheduler factory untouched —
-/// presets resolve exactly as in a sweep. "auto" resolves through the
-/// tuning metrics table first (service_auto_algorithm picks the tuned
-/// algorithm; `selection`, when non-null, receives the provenance).
+/// presets resolve exactly as in a sweep. "auto" runs the preset
+/// tuning::resolve_auto picks for kServiceAlgorithm.
 /// Throws std::invalid_argument on an unknown scheduler.
 std::unique_ptr<QueryService> make_service(std::string_view sched_name,
                                            unsigned threads,
                                            const ParamMap& params,
                                            const GraphInstance& graph,
-                                           ServiceOptions opts = {},
-                                           tuning::AutoSelection* selection = nullptr);
+                                           ServiceOptions opts = {});
 
-/// The worker count make_service will actually run with. For "auto"
-/// this is the requested count (every preset family the table can name
-/// is thread-capable; the resolved entry still clamps inside
-/// make_service).
+/// The worker count make_service will actually run with ("auto" is
+/// resolved first).
 unsigned service_effective_threads(std::string_view sched_name,
                                    unsigned requested);
 

@@ -48,11 +48,11 @@ struct SweepRow {
   bool numa_grid = false; // row came from a --numa-grid sweep
   AlgoResult result;
   int reps = 1;
-  // `--sched auto` provenance: the row ran `scheduler` because the
-  // tuning table picked it (label stays "auto"); match kind and the
-  // resolver's explanation are surfaced in the table and JSON.
+  // `--sched auto` provenance: the row ran `scheduler` because
+  // resolve_auto picked it (label stays "auto"); match kind and the
+  // rule's evidence are surfaced in the table and JSON.
   bool auto_selected = false;
-  std::string auto_match;  // "exact" | "nearest-threads" | ...
+  std::string auto_match;  // "rule" | "default"
   std::string auto_why;
 };
 

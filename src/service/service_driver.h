@@ -91,8 +91,8 @@ struct ServiceRow {
   bool valid = true;
   double speedup_vs_seq = 0;
   int reps = 1;
-  // `--sched auto` provenance: the preset the tuning table resolved
-  // (scheduler stays "auto"), its match kind, and the explanation.
+  // `--sched auto` provenance: the preset resolve_auto picked
+  // (scheduler stays "auto"), its match kind, and the rule's evidence.
   std::string preset;
   std::string auto_match;
   std::string auto_why;

@@ -1,60 +1,24 @@
 #include "tuning/auto_select.h"
 
-#include <filesystem>
 #include <sstream>
-#include <stdexcept>
-
-#include "registry/scheduler_registry.h"
 
 namespace smq::tuning {
 
-AutoSelection select_scheduler(const MetricsTable& table,
-                               std::string_view table_origin,
-                               const WorkloadFingerprint& fp,
-                               std::string_view algorithm, unsigned threads) {
-  const auto& registry = SchedulerRegistry::instance();
-  const auto is_registered = [&registry](const std::string& preset) {
-    return registry.find(preset) != nullptr;
-  };
-  Resolution res = resolve_preset(table, fp, algorithm, threads, is_registered);
-
-  AutoSelection sel;
-  sel.preset = std::move(res.preset);
-  sel.match = res.match;
-  sel.confidence = res.confidence;
-  sel.why = std::move(res.why);
-  sel.table_origin = std::string(table_origin);
-  sel.fingerprint = fp;
-  return sel;
-}
-
-AutoSelection select_scheduler(const GraphInstance& graph,
-                               std::string_view algorithm, unsigned threads,
-                               const std::string& table_path) {
-  if (!graph.graph) {
-    throw std::invalid_argument("auto scheduler: graph instance has no graph");
+AutoSelection resolve_auto(std::string_view algorithm) {
+  for (const AutoRule& rule : kAutoRules) {
+    if (rule.algorithm == algorithm) {
+      return {rule.preset, "rule", rule.evidence};
+    }
   }
-  std::string origin;
-  MetricsTable table;
-  if (table_path.empty()) {
-    table = MetricsTable::load_or_embedded(MetricsTable::default_path(), &origin);
-  } else {
-    // An explicit path is a user decision: fail loudly if it is absent
-    // rather than silently answering from the embedded copy.
-    origin = table_path;
-    table = MetricsTable::load(table_path);
-  }
-  return select_scheduler(table, origin, fingerprint_graph(*graph.graph),
-                          algorithm, threads);
+  return {kAutoDefaultPreset, "default",
+          "no measured rule for this algorithm; the paper's default"};
 }
 
 std::string describe_selection(const AutoSelection& sel,
                                std::string_view algorithm, unsigned threads) {
   std::ostringstream os;
-  os << "auto: " << algorithm << " @ " << threads << "t on "
-     << to_string(sel.fingerprint.cls) << " graph -> " << sel.preset << " ["
-     << to_string(sel.match) << ", table: " << sel.table_origin << "] — "
-     << sel.why;
+  os << "auto: " << algorithm << " @ " << threads << "t -> " << sel.preset
+     << " [" << sel.match << "] — " << sel.why;
   return os.str();
 }
 

@@ -2,7 +2,8 @@
 // round-trips, v1 read compatibility, and the corruption fixtures a
 // trusted-on-disk format must reject — bad magic, bad version,
 // truncated arrays, oversized counts (which must throw, not attempt a
-// multi-exabyte allocation), and inconsistent CSR offsets.
+// multi-exabyte allocation), and inconsistent CSR offsets — plus a
+// fixed-seed mutation run over both readers.
 #include "graph/binary_io.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <sstream>
 
 #include "graph/generators.h"
+#include "ingest_fuzz.h"
 
 namespace smq {
 namespace {
@@ -273,6 +275,51 @@ TEST(BinaryIoMmap, RejectsCorruptFiles) {
     EXPECT_ANY_THROW(load_binary_graph_mmap(path)) << c.name;
     std::remove(path.c_str());
   }
+}
+
+// ---- mutation ---------------------------------------------------------------
+
+TEST(BinaryIoFuzz, MutantsLoadValidGraphsOrThrow) {
+  // A v2 image with coordinates, mutated by byte flips, truncations and
+  // overwritten |V| / |E| header fields, fed to both readers.
+  const Graph g = make_road_like(64, {.seed = 2});
+  const std::string image = serialized(g);
+  const std::uint64_t v = g.num_vertices();
+  const std::uint64_t e = g.num_edges();
+  const std::uint64_t counts[] = {0,      1,           v - 1,       v + 1,
+                                  e - 1,  e + 1,       2 * e,       1ull << 32,
+                                  ~0ull >> 1, ~0ull};
+  const std::string path = ::testing::TempDir() + "/smq_fuzz_mutant.bin";
+  constexpr int kMutants = 600;
+  Xoshiro256 rng(20240617);
+  testing::MutantOutcomes streamed, mapped;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string mutant = image;
+    switch (i % 3) {
+      case 0:
+        testing::flip_random_bytes(mutant, rng);
+        break;
+      case 1:
+        mutant.resize(rng.next_below(mutant.size()));
+        break;
+      default:
+        patch_u64(mutant, rng.next_bool(1, 2) ? kVerticesOffset : kEdgesOffset,
+                  counts[rng.next_below(std::size(counts))]);
+        break;
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    std::istringstream in(mutant);
+    streamed.run([&in] { return read_binary_graph(in); }, true);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    }
+    mapped.run([&path] { return load_binary_graph_mmap(path); }, false);
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(streamed.loaded, 0);
+  EXPECT_GT(streamed.rejected, 0);
+  EXPECT_GT(mapped.rejected, 0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // DIMACS ingest hardening: the parser must reject exactly the
 // corruptions that a failed download of a multi-gigabyte .gr file
 // produces — truncation, weight overflow, duplicated headers — and
-// tolerate the cosmetic ones (CRLF line endings).
+// tolerate the cosmetic ones (CRLF line endings) — plus a fixed-seed
+// mutation run over the checked-in sample.
 #include "graph/dimacs.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <sstream>
 
 #include "graph/dimacs_catalog.h"
+#include "ingest_fuzz.h"
 
 namespace smq {
 namespace {
@@ -84,6 +86,51 @@ TEST(DimacsHardening, RejectsDuplicateProblemLine) {
 TEST(DimacsHardening, RejectsArcMissingFields) {
   std::istringstream in("p sp 2 1\na 1 2\n");
   EXPECT_THROW(read_dimacs_gr(in), std::runtime_error);
+}
+
+TEST(DimacsFuzz, MutantsLoadValidGraphsOrThrow) {
+#ifndef SMQ_SOURCE_DIR
+  GTEST_SKIP() << "SMQ_SOURCE_DIR not defined";
+#else
+  std::ifstream file(std::string(SMQ_SOURCE_DIR) + "/data/dimacs/sample.gr");
+  ASSERT_TRUE(file.is_open()) << "data/dimacs/sample.gr not found";
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  const std::string sample = buffer.str();
+  // The problem line "p sp V E": the count fields the overwrites target.
+  const std::size_t problem = sample.find("\np sp ");
+  ASSERT_NE(problem, std::string::npos);
+  const std::size_t problem_end = sample.find('\n', problem + 1);
+  const char* counts[] = {"0",          "1",           "15",
+                          "17",         "51",          "53",
+                          "4294967295", "4294967296",  "18446744073709551615",
+                          "-1",         "99999999999999999999999"};
+  constexpr int kMutants = 600;
+  Xoshiro256 rng(20240617);
+  testing::MutantOutcomes outcomes;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string mutant = sample;
+    switch (i % 3) {
+      case 0:
+        testing::flip_random_bytes(mutant, rng);
+        break;
+      case 1:
+        mutant.resize(rng.next_below(mutant.size()));
+        break;
+      default: {
+        const std::string v = counts[rng.next_below(std::size(counts))];
+        const std::string e = counts[rng.next_below(std::size(counts))];
+        mutant.replace(problem, problem_end - problem, "\np sp " + v + ' ' + e);
+        break;
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    std::istringstream in(mutant);
+    outcomes.run([&in] { return read_dimacs_gr(in); }, true);
+  }
+  EXPECT_GT(outcomes.loaded, 0);
+  EXPECT_GT(outcomes.rejected, 0);
+#endif
 }
 
 TEST(DimacsCatalog, LookupAndPaths) {

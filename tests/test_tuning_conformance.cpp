@@ -1,172 +1,137 @@
-// Tuning-table conformance (ISSUE satellite): every preset key the
-// checked-in table (data/tuning/metrics_table.json) or the embedded
-// fallback names must exist in the scheduler registry, every row's
-// algorithm must be registered and runnable at the row's thread count,
-// and the two copies must stay in sync. Mirrors
-// test_preset_conformance.cpp: no table row can name a configuration
-// this binary cannot execute.
-//
-// Also the `--sched auto` acceptance path: resolution returns a
-// registered preset that matches the sequential oracle at 1 and 4
-// threads.
+// `--sched auto` conformance: every rule in tuning::kAutoRules names a
+// registered algorithm and a registered preset that runs at the thread
+// counts the drivers use and matches the sequential oracle, and
+// resolution returns the rule's preset, or `smq` for an algorithm
+// without a rule, through both the sweep and the service paths.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
-#include <utility>
+#include <vector>
 
+#include "algorithms/astar.h"
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
+#include "registry/service_factory.h"
+#include "service/service_driver.h"
 #include "tuning/auto_select.h"
-#include "tuning/fingerprint.h"
-#include "tuning/metrics_table.h"
 
 namespace smq::tuning {
 namespace {
 
-const std::string kCheckedInTable =
-    std::string(SMQ_SOURCE_DIR) + "/data/tuning/metrics_table.json";
+constexpr unsigned kThreadCounts[] = {1u, 4u};
 
-/// Registry conformance for one table copy; `origin` labels failures.
-void check_table(const MetricsTable& table, const std::string& origin) {
-  EXPECT_EQ(table.version, MetricsTable::kFormatVersion) << origin;
-  EXPECT_FALSE(table.rows.empty())
-      << origin << ": an empty table would send every `--sched auto` "
-      << "run to the fallback preset";
-  std::set<std::tuple<std::string, std::string, unsigned>> keys;
-  for (const MetricsRow& row : table.rows) {
-    const std::string where = origin + ": row " + row.graph_class + '/' +
-                              row.algorithm + " @ " +
-                              std::to_string(row.threads) + 't';
-    // The key fields themselves must be well-formed...
-    EXPECT_TRUE(parse_graph_class(row.graph_class).has_value())
-        << where << ": unknown graph class '" << row.graph_class << "'";
-    EXPECT_TRUE(keys.insert({row.graph_class, row.algorithm, row.threads}).second)
-        << where << ": duplicate key";
-    // ...the algorithm must exist...
-    EXPECT_NE(AlgorithmRegistry::instance().find(row.algorithm), nullptr)
-        << where << ": unregistered algorithm '" << row.algorithm << "'";
-    // ...and the winning preset must be a registered scheduler able to
-    // actually run at the recorded thread count (a sequential entry
-    // recorded at 4t would silently under-deliver).
-    const SchedulerEntry* entry =
-        SchedulerRegistry::instance().find(row.preset);
-    ASSERT_NE(entry, nullptr)
-        << where << ": unregistered preset '" << row.preset << "'";
-    EXPECT_EQ(effective_threads(*entry, row.threads), row.threads)
-        << where << ": preset '" << row.preset
-        << "' cannot run at the recorded thread count";
-    EXPECT_GT(row.tasks_per_sec, 0) << where;
-    EXPECT_GE(row.confidence, 0) << where;
-    EXPECT_LE(row.confidence, 1) << where;
-    EXPECT_FALSE(row.graph.empty()) << where << ": provenance spec missing";
-  }
-}
-
-TEST(TuningConformance, CheckedInTableNamesOnlyRegisteredKeys) {
-  check_table(MetricsTable::load(kCheckedInTable), "metrics_table.json");
-}
-
-TEST(TuningConformance, EmbeddedTableNamesOnlyRegisteredKeys) {
-  check_table(MetricsTable::embedded(), "embedded table");
-}
-
-/// The embedded fallback is documented as a verbatim copy of the
-/// checked-in file; catch the two drifting apart at regeneration time.
-TEST(TuningConformance, EmbeddedTableMatchesCheckedInTable) {
-  const MetricsTable file = MetricsTable::load(kCheckedInTable);
-  const MetricsTable embedded = MetricsTable::embedded();
-  ASSERT_EQ(embedded.rows.size(), file.rows.size())
-      << "re-run smq_tune and paste data/tuning/metrics_table.json into "
-      << "src/tuning/embedded_table.cpp";
-  for (std::size_t i = 0; i < file.rows.size(); ++i) {
-    const MetricsRow& a = file.rows[i];
-    const MetricsRow& b = embedded.rows[i];
-    EXPECT_EQ(a.graph_class, b.graph_class) << "row " << i;
-    EXPECT_EQ(a.algorithm, b.algorithm) << "row " << i;
-    EXPECT_EQ(a.threads, b.threads) << "row " << i;
-    EXPECT_EQ(a.preset, b.preset) << "row " << i;
-    EXPECT_DOUBLE_EQ(a.tasks_per_sec, b.tasks_per_sec) << "row " << i;
-  }
-}
-
-/// Every (preset, algorithm) pair the table endorses must execute and
-/// match the oracle — the runtime trusts these rows blindly.
-TEST(TuningConformance, EndorsedPresetAlgorithmPairsPassTheOracle) {
-  const MetricsTable table = MetricsTable::load(kCheckedInTable);
+GraphInstance rand_instance() {
   ParamMap gparams;
-  gparams.set("vertices", "400");
-  gparams.set("seed", "11");
-  const GraphInstance inst = GraphRegistry::instance().create("rand", gparams);
-  std::set<std::pair<std::string, std::string>> pairs;
-  for (const MetricsRow& row : table.rows) {
-    pairs.insert({row.preset, row.algorithm});
+  gparams.set("vertices", "500");
+  gparams.set("seed", "3");
+  return GraphRegistry::instance().create("rand", gparams);
+}
+
+TEST(TuningConformance, RulesNameOnlyRegisteredKeys) {
+  std::set<std::string_view> algorithms;
+  for (const AutoRule& rule : kAutoRules) {
+    SCOPED_TRACE(std::string(rule.algorithm) + " -> " + std::string(rule.preset));
+    EXPECT_TRUE(algorithms.insert(rule.algorithm).second)
+        << "a second row for the same algorithm is never reached";
+    EXPECT_NE(AlgorithmRegistry::instance().find(rule.algorithm), nullptr);
+    const SchedulerEntry* entry = SchedulerRegistry::instance().find(rule.preset);
+    ASSERT_NE(entry, nullptr);
+    for (const unsigned threads : kThreadCounts) {
+      EXPECT_EQ(effective_threads(*entry, threads), threads)
+          << "the rule's preset cannot run at " << threads << " threads";
+    }
+    EXPECT_FALSE(rule.evidence.empty());
   }
-  for (const auto& [preset, algo_name] : pairs) {
-    SCOPED_TRACE(preset + '/' + algo_name);
-    const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
+  EXPECT_NE(SchedulerRegistry::instance().find(kAutoDefaultPreset), nullptr);
+}
+
+/// Every (preset, algorithm) pair a rule endorses must execute and match
+/// the oracle — the drivers run these rows without a second look.
+TEST(TuningConformance, EndorsedPresetAlgorithmPairsPassTheOracle) {
+  const GraphInstance inst = rand_instance();
+  for (const AutoRule& rule : kAutoRules) {
+    const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(rule.algorithm);
     ASSERT_NE(algo, nullptr);
-    const SchedulerEntry* entry = SchedulerRegistry::instance().find(preset);
+    const SchedulerEntry* entry = SchedulerRegistry::instance().find(rule.preset);
     ASSERT_NE(entry, nullptr);
     const AlgoReference ref = algo->make_reference(inst, {});
-    const unsigned threads = effective_threads(*entry, 2);
-    AnyScheduler sched = entry->make(threads, {});
-    const AlgoResult result = algo->run(inst, sched, threads, {}, &ref);
-    EXPECT_TRUE(result.validated);
-    EXPECT_TRUE(result.valid) << preset << " failed the oracle on " << algo_name;
+    for (const unsigned threads : kThreadCounts) {
+      SCOPED_TRACE(std::string(rule.preset) + '/' + std::string(rule.algorithm) +
+                   " @ " + std::to_string(threads) + 't');
+      AnyScheduler sched = entry->make(threads, {});
+      const AlgoResult result = algo->run(inst, sched, threads, {}, &ref);
+      EXPECT_TRUE(result.validated);
+      EXPECT_TRUE(result.valid);
+    }
   }
 }
 
-/// The acceptance criterion: `--sched auto` resolves to a registered
-/// preset and that preset matches the sequential oracle at 1 and 4
+/// `--sched auto` resolves every rule's algorithm, and one without a
+/// rule, to a registered preset that matches the oracle at 1 and 4
 /// threads, with provenance attached.
 TEST(TuningConformance, AutoSelectionResolvesAndPassesTheOracle) {
-  ParamMap gparams;
-  gparams.set("vertices", "500");
-  gparams.set("seed", "3");
-  const GraphInstance inst = GraphRegistry::instance().create("rand", gparams);
-  const AlgorithmEntry* sssp = AlgorithmRegistry::instance().find("sssp");
-  ASSERT_NE(sssp, nullptr);
-  const AlgoReference ref = sssp->make_reference(inst, {});
-  for (const unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const AutoSelection sel =
-        select_scheduler(inst, "sssp", threads, kCheckedInTable);
-    const SchedulerEntry* entry =
-        SchedulerRegistry::instance().find(sel.preset);
-    ASSERT_NE(entry, nullptr) << "auto resolved to unknown '" << sel.preset << "'";
-    EXPECT_EQ(sel.match, MatchKind::kExact)
-        << "the checked-in table covers uniform/sssp at 1 and 4 threads";
-    EXPECT_FALSE(sel.why.empty());
-    EXPECT_EQ(sel.table_origin, kCheckedInTable);
-    const unsigned eff = effective_threads(*entry, threads);
-    AnyScheduler sched = entry->make(eff, {});
-    const AlgoResult result = sssp->run(inst, sched, eff, {}, &ref);
-    EXPECT_TRUE(result.validated);
-    EXPECT_TRUE(result.valid) << sel.preset << " failed the oracle";
+  const GraphInstance inst = rand_instance();
+  std::vector<std::string_view> algorithms = {"sssp"};
+  for (const AutoRule& rule : kAutoRules) algorithms.push_back(rule.algorithm);
+  for (const std::string_view algo_name : algorithms) {
+    const AlgorithmEntry* algo = AlgorithmRegistry::instance().find(algo_name);
+    ASSERT_NE(algo, nullptr);
+    const AlgoReference ref = algo->make_reference(inst, {});
+    for (const unsigned threads : kThreadCounts) {
+      SCOPED_TRACE(std::string(algo_name) + " @ " + std::to_string(threads) + 't');
+      const AutoSelection sel = resolve_auto(algo_name);
+      const SchedulerEntry* entry = SchedulerRegistry::instance().find(sel.preset);
+      ASSERT_NE(entry, nullptr) << "auto resolved to unknown '" << sel.preset << "'";
+      EXPECT_FALSE(sel.why.empty());
+      const unsigned eff = effective_threads(*entry, threads);
+      AnyScheduler sched = entry->make(eff, {});
+      const AlgoResult result = algo->run(inst, sched, eff, {}, &ref);
+      EXPECT_TRUE(result.validated);
+      EXPECT_TRUE(result.valid) << sel.preset << " failed the oracle";
+    }
   }
 }
 
-/// Resolution is pure given (table, fingerprint, key): repeated calls
-/// must agree, including on fallback paths a stale table exercises.
-TEST(TuningConformance, ResolutionIsDeterministic) {
-  const MetricsTable table = MetricsTable::load(kCheckedInTable);
-  ParamMap gparams;
-  gparams.set("vertices", "500");
-  gparams.set("seed", "3");
-  const GraphInstance inst = GraphRegistry::instance().create("rand", gparams);
-  const WorkloadFingerprint fp = fingerprint_graph(*inst.graph);
-  for (const char* algo : {"sssp", "bfs", "astar"}) {
-    // 3t has no exact row -> nearest-threads; 64t -> nearest as well.
-    for (const unsigned threads : {1u, 3u, 4u, 64u}) {
-      const AutoSelection a = select_scheduler(table, "t", fp, algo, threads);
-      const AutoSelection b = select_scheduler(table, "t", fp, algo, threads);
-      EXPECT_EQ(a.preset, b.preset) << algo << " @ " << threads;
-      EXPECT_EQ(a.match, b.match) << algo << " @ " << threads;
-      EXPECT_NE(SchedulerRegistry::instance().find(a.preset), nullptr)
-          << algo << " @ " << threads << " resolved to unknown preset";
+TEST(TuningConformance, RuleAlgorithmsResolveToTheirPreset) {
+  for (const AutoRule& rule : kAutoRules) {
+    const AutoSelection sel = resolve_auto(rule.algorithm);
+    EXPECT_EQ(sel.preset, rule.preset);
+    EXPECT_EQ(sel.match, "rule");
+    EXPECT_EQ(sel.why, rule.evidence);
+  }
+}
+
+TEST(TuningConformance, AlgorithmWithoutRuleResolvesToSmq) {
+  for (const char* algo : {"sssp", "astar", "pagerank", "no-such-algorithm"}) {
+    const AutoSelection sel = resolve_auto(algo);
+    EXPECT_EQ(sel.preset, "smq") << algo;
+    EXPECT_EQ(sel.match, "default") << algo;
+  }
+}
+
+/// make_service("auto", ...) resolves through the same rule list and
+/// answers point-to-point queries like the sequential A* oracle.
+TEST(TuningConformance, AutoServiceAnswersQueriesCorrectly) {
+  ParamMap params;
+  params.set("vertices", "1500");
+  params.set("seed", "9");
+  const GraphInstance gi = GraphRegistry::instance().create("road", params);
+  const std::vector<Query> queries = make_query_set(gi, 32, /*seed=*/5);
+  for (const unsigned threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string_view preset = resolve_auto(kServiceAlgorithm).preset;
+    EXPECT_EQ(service_effective_threads(kAutoSchedulerName, threads),
+              service_effective_threads(preset, threads));
+    auto service = make_service(kAutoSchedulerName, threads, params, gi);
+    for (const Query& q : queries) {
+      const auto ref =
+          sequential_astar(*gi.graph, q.source, q.target, gi.weight_scale);
+      EXPECT_EQ(service->run(q).distance, ref.distance)
+          << q.source << " -> " << q.target;
     }
+    service->stop();
   }
 }
 

@@ -62,8 +62,7 @@ std::vector<std::string> known_flags() {
       "help",       "h",         "list",      "suite",    "sched",
       "algo",       "graph",     "threads",   "reps",     "json",
       "no-validate", "dispatch", "batch-size", "numa-grid", "graph-cache",
-      "service",    "qps",       "queries",   "lanes",    "query-seed",
-      "tuning-table"};
+      "service",    "qps",       "queries",   "lanes",    "query-seed"};
   const auto add = [&known](const std::vector<Tunable>& tunables) {
     for (const Tunable& t : tunables) known.push_back(t.name);
   };
@@ -204,24 +203,15 @@ int run_service_mode(const ArgParser& args) {
   bool any_invalid = false;
   for (const std::string& name : sched_names) {
     for (const unsigned requested : thread_counts) {
-      // `auto` resolves through the tuning table once per thread count
-      // (the winning preset may change with the worker count); the row
-      // keeps "auto" as its scheduler and reports the resolved preset.
+      // The row keeps "auto" as its scheduler and reports the preset
+      // resolve_auto picked.
       tuning::AutoSelection selection;
       std::string create_name = name;
       if (is_auto_sched(name)) {
-        try {
-          selection = tuning::select_scheduler(
-              graph, service_auto_algorithm(graph),
-              requested == 0 ? 1 : requested, args.get("tuning-table"));
-        } catch (const std::exception& e) {
-          std::cerr << "smq_run: " << e.what() << "\n";
-          return 2;
-        }
+        selection = tuning::resolve_auto(kServiceAlgorithm);
         create_name = selection.preset;
-        std::cout << tuning::describe_selection(
-                         selection, service_auto_algorithm(graph),
-                         requested == 0 ? 1 : requested)
+        std::cout << tuning::describe_selection(selection, kServiceAlgorithm,
+                                                requested)
                   << "\n";
       }
       const unsigned threads = service_effective_threads(create_name, requested);
@@ -235,7 +225,7 @@ int run_service_mode(const ArgParser& args) {
         row.scheduler = name;
         if (is_auto_sched(name)) {
           row.preset = selection.preset;
-          row.auto_match = std::string(tuning::to_string(selection.match));
+          row.auto_match = selection.match;
           row.auto_why = selection.why;
         }
         row.threads = threads;
@@ -281,7 +271,6 @@ int run(int argc, char** argv) {
            "virtual|batched] [--batch-size N]\n"
            "               [--numa-grid nodes=N,..:k=K,..] "
            "[--graph-cache DIR]\n"
-           "               [--tuning-table PATH]\n"
            "               [--service [--qps R] [--queries N] [--lanes N] "
            "[--query-seed S]]\n"
            "               [--<tunable> VALUE ...]\n\n"
@@ -296,13 +285,10 @@ int run(int argc, char** argv) {
            "repeated sweeps skip generation;\n`--numa-grid` crosses the "
            "sweep with simulated-NUMA grid points (nodes x K),\neach row "
            "reporting its measured remote-access fraction.\n\n"
-           "`--sched auto` resolves the scheduler through the tuning "
-           "metrics table\n(data/tuning/metrics_table.json, regenerate with "
-           "smq_tune; override with\n--tuning-table PATH or "
-           "$SMQ_TUNING_TABLE): the preset measured best for\nthis (graph "
-           "class, algorithm, threads) is picked per thread count — exact\n"
-           "row, nearest thread count, or nearest graph fingerprint — and "
-           "every row\nreports the chosen preset and why.\n\n"
+           "`--sched auto` runs the paper's smq unless a measured rule names "
+           "a preset\nthat beat it on both road and power-law graphs for the "
+           "algorithm (bfs ->\npmod-d4); every row reports the chosen preset "
+           "and the rule's evidence.\n\n"
            "`--service` runs point-to-point queries through a persistent "
            "worker-pool\nservice instead of one spawn/join run per row: "
            "`--queries N` random (s,t)\npairs (seeded by --query-seed) are "
@@ -422,34 +408,11 @@ int run(int argc, char** argv) {
     }
   }
 
-  // ---- `--sched auto` resolution inputs --------------------------------
-  // The table is loaded and the graph fingerprinted once; resolution
-  // itself happens per thread count (the winner can change with it).
-  const bool any_auto =
-      std::any_of(sched_names.begin(), sched_names.end(), is_auto_sched);
-  tuning::MetricsTable auto_table;
-  std::string auto_origin;
-  tuning::WorkloadFingerprint auto_fp;
-  if (any_auto) {
-    if (grid_active) {
-      std::cerr << "--sched auto cannot be combined with --numa-grid (the "
-                   "grid sweeps the axis the table has already pinned)\n";
-      return 2;
-    }
-    try {
-      const std::string table_arg = args.get("tuning-table");
-      if (table_arg.empty()) {
-        auto_table = tuning::MetricsTable::load_or_embedded(
-            tuning::MetricsTable::default_path(), &auto_origin);
-      } else {
-        auto_origin = table_arg;
-        auto_table = tuning::MetricsTable::load(table_arg);
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "smq_run: " << e.what() << "\n";
-      return 2;
-    }
-    auto_fp = tuning::fingerprint_graph(*graph.graph);
+  if (grid_active &&
+      std::any_of(sched_names.begin(), sched_names.end(), is_auto_sched)) {
+    std::cerr << "--sched auto cannot be combined with --numa-grid (the "
+                 "grid sweeps a scheduler axis auto has already pinned)\n";
+    return 2;
   }
 
   std::cout << "graph: " << graph.name << " (" << graph.graph->num_vertices()
@@ -487,22 +450,20 @@ int run(int argc, char** argv) {
   bool any_invalid = false;
   for (const std::string& name : sched_names) {
     if (is_auto_sched(name)) {
-      // One table resolution per thread count; the row runs the
-      // resolved preset under whatever dispatch mode was requested
-      // (same path as naming it by hand) and carries the provenance
-      // into table/JSON.
+      // The row runs the resolved preset under whatever dispatch mode
+      // was requested (same path as naming it by hand) and carries the
+      // provenance into table/JSON.
+      const tuning::AutoSelection sel = tuning::resolve_auto(algo_name);
       for (const unsigned requested : thread_counts) {
-        const unsigned want = requested == 0 ? 1 : requested;
-        const tuning::AutoSelection sel = tuning::select_scheduler(
-            auto_table, auto_origin, auto_fp, algo_name, want);
         const SchedulerEntry* entry =
             SchedulerRegistry::instance().find(sel.preset);
-        std::cout << tuning::describe_selection(sel, algo_name, want) << "\n";
+        std::cout << tuning::describe_selection(sel, algo_name, requested)
+                  << "\n";
         SweepRow row;
         row.label = name;
         row.scheduler = sel.preset;
         row.auto_selected = true;
-        row.auto_match = std::string(tuning::to_string(sel.match));
+        row.auto_match = sel.match;
         row.auto_why = sel.why;
         row.requested_threads = requested;
         row.threads = effective_threads(*entry, requested);
